@@ -101,11 +101,18 @@ class Tape:
 
 
 def _accum(t: Tensor, g) -> None:
+    """Add g into t.grad, adopting g itself as the first contribution.
+
+    An adopted array may be shared: by both operands of an add, or as a view
+    of the upstream gradient. Later contributions therefore add out of place;
+    nothing writes into a .grad in place.
+    """
     if not (t.requires_grad or t._on_tape):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g
+    else:
+        t.grad = t.grad + g
 
 
 def zero_grads(tensors) -> None:
@@ -133,29 +140,36 @@ def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise DimensionError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    flat = a.ndim == 3 and b.ndim == 2
+    if flat:
+        # one (batch*rows, d) GEMM instead of a batched product
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:]))
+    else:
+        out = Tensor(a.data @ b.data)
     if tape._wants(a, b):
 
         def fn():
             g = out.grad
             if g is None:
                 return
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            if b.ndim == 2 and gb.ndim == 3:
-                gb = gb.sum(axis=0)
-            _accum(a, ga)
-            _accum(b, gb)
+            if flat:
+                g2 = g.reshape(-1, g.shape[-1])
+                _accum(a, (g2 @ b.data.T).reshape(a.shape))
+                _accum(b, a2.T @ g2)
+                return
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
         tape._record(out, fn)
     return out
 
 
 def transpose(tape: Tape, x: Tensor) -> Tensor:
-    """Swap the last two axes."""
+    """Swap the last two axes; the result is a view of x's data."""
     if x.ndim < 2:
         raise DimensionError("transpose needs at least 2 axes")
-    out = Tensor(np.swapaxes(x.data, -1, -2).copy())
+    out = Tensor(np.swapaxes(x.data, -1, -2))
     if tape._wants(x):
 
         def fn():
@@ -284,11 +298,11 @@ def stack_channels(tape: Tape, parts) -> Tensor:
 
 
 def slice_rows(tape: Tape, x: Tensor, start: int, stop: int) -> Tensor:
-    """Take rows [start, stop) along the second-to-last axis."""
+    """Take rows [start, stop) along the second-to-last axis, as a view."""
     n = x.shape[-2]
     if not (0 <= start < stop <= n):
         raise DimensionError(f"row slice [{start}:{stop}) out of range for {x.shape}")
-    out = Tensor(x.data[..., start:stop, :].copy())
+    out = Tensor(x.data[..., start:stop, :])
     if tape._wants(x):
 
         def fn():
@@ -304,11 +318,11 @@ def slice_rows(tape: Tape, x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def slice_cols(tape: Tape, x: Tensor, start: int, stop: int) -> Tensor:
-    """Take columns [start, stop) along the last axis."""
+    """Take columns [start, stop) along the last axis, as a view."""
     n = x.shape[-1]
     if not (0 <= start < stop <= n):
         raise DimensionError(f"column slice [{start}:{stop}) out of range for {x.shape}")
-    out = Tensor(x.data[..., start:stop].copy())
+    out = Tensor(x.data[..., start:stop])
     if tape._wants(x):
 
         def fn():
@@ -324,8 +338,9 @@ def slice_cols(tape: Tape, x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def reshape(tape: Tape, x: Tensor, shape) -> Tensor:
+    """New shape over the same data; a view unless x's data is non-contiguous."""
     shape = tuple(int(s) for s in shape)
-    out = Tensor(x.data.reshape(shape).copy())
+    out = Tensor(x.data.reshape(shape))
     if tape._wants(x):
 
         def fn():
@@ -383,18 +398,39 @@ def tanh_op(tape: Tape, x: Tensor) -> Tensor:
 
 
 def mish(tape: Tape, x: Tensor) -> Tensor:
-    """x * tanh(softplus(x)), with an overflow-safe softplus."""
-    sp = np.logaddexp(np.zeros((), dtype=x.dtype), x.data)
-    t = np.tanh(sp)
-    out = Tensor(x.data * t)
-    if tape._wants(x):
+    """x * tanh(softplus(x)), with softplus(x) = max(x, 0) + log1p(exp(-|x|)).
+
+    exp(-|x|) never overflows and is kept for the backward sigmoid. The
+    forward writes in place: it needs three full-size buffers when recording
+    and two otherwise, where the result reuses the buffer of exp(-|x|).
+    """
+    wants = tape._wants(x)
+    xd = x.data
+    e = np.abs(xd)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    t = np.maximum(xd, 0)
+    y = np.log1p(e, out=None if wants else e)
+    t += y
+    np.tanh(t, out=t)
+    np.multiply(xd, t, out=y)
+    out = Tensor(y)
+    if wants:
 
         def fn():
             g = out.grad
             if g is None:
                 return
-            sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -60.0, 60.0)))
-            _accum(x, g * (t + x.data * (1.0 - t * t) * sig))
+            # sigmoid(x) from e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below
+            sig = np.where(xd >= 0, 1, e)
+            sig /= 1 + e
+            d = t * t
+            np.subtract(1, d, out=d)
+            d *= xd
+            d *= sig
+            d += t
+            d *= g
+            _accum(x, d)
 
         tape._record(out, fn)
     return out
@@ -477,6 +513,12 @@ def layer_norm(tape: Tape, x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1
     return out
 
 
+def _windows3x3(a: np.ndarray) -> np.ndarray:
+    """Zero-pad the last two axes by one and view every 3x3 neighbourhood."""
+    ap = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)])
+    return np.lib.stride_tricks.sliding_window_view(ap, (3, 3), axis=(-2, -1))
+
+
 def conv2d_same(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     """3x3 same-padding convolution collapsing c channels to 1, no bias.
 
@@ -485,18 +527,16 @@ def conv2d_same(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
     _check_dtypes(x, kernel)
     if x.ndim not in (3, 4):
         raise DimensionError(f"conv2d_same input must be (c,h,w) or (batch,c,h,w), got {x.shape}")
-    c, h, w = x.shape[-3], x.shape[-2], x.shape[-1]
+    c = x.shape[-3]
     if kernel.shape != (1, c, 3, 3):
         raise DimensionError(f"conv kernel must be (1,{c},3,3), got {kernel.shape}")
-    pad = [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)]
-    xp = np.pad(x.data, pad)
+    lead = x.ndim - 3
     kd = kernel.data[0]
-    acc = np.zeros(x.shape[:-3] + (h, w), dtype=x.dtype)
-    for di in range(3):
-        for dj in range(3):
-            patch = xp[..., :, di : di + h, dj : dj + w]
-            acc += (patch * kd[:, di, dj].reshape(-1, 1, 1)).sum(axis=-3)
-    out = Tensor(acc[..., None, :, :].copy())
+    # (..., c, h, w, 3, 3): the 3x3 neighbourhood of every output pixel. Each
+    # tensordot below gathers the window axes ahead of (h, w), so the copy it
+    # makes runs along contiguous rows.
+    win = _windows3x3(x.data)
+    out = Tensor(np.tensordot(kd, win, axes=([0, 1, 2], [lead, -2, -1]))[..., None, :, :])
     if tape._wants(x, kernel):
 
         def fn():
@@ -504,19 +544,12 @@ def conv2d_same(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
             if g is None:
                 return
             g2 = g[..., 0, :, :]
-            gxp = np.zeros_like(xp)
-            gk = np.zeros_like(kernel.data)
-            for di in range(3):
-                for dj in range(3):
-                    gxp[..., :, di : di + h, dj : dj + w] += (
-                        kd[:, di, dj].reshape(-1, 1, 1) * g2[..., None, :, :]
-                    )
-                    patch = xp[..., :, di : di + h, dj : dj + w]
-                    prod = patch * g2[..., None, :, :]
-                    red = tuple(i for i in range(prod.ndim) if i != prod.ndim - 3)
-                    gk[0, :, di, dj] += prod.sum(axis=red)
-            _accum(x, gxp[..., :, 1 : 1 + h, 1 : 1 + w])
-            _accum(kernel, gk)
+            batch = list(range(lead))
+            gk = np.tensordot(win, g2, axes=(batch + [lead + 1, lead + 2], batch + [lead, lead + 1]))
+            # input gradient: correlate the padded output gradient with the flipped kernel
+            gx = np.tensordot(kd[:, ::-1, ::-1], _windows3x3(g2), axes=([1, 2], [-2, -1]))
+            _accum(x, np.moveaxis(gx, 0, -3))
+            _accum(kernel, gk[None])
 
         tape._record(out, fn)
     return out

@@ -8,6 +8,7 @@ back verbatim. The config payload is free-form JSON owned by the caller
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -35,26 +36,42 @@ def save_checkpoint(path, config: dict, arrays: dict) -> None:
             fh.write(arr.tobytes())
 
 
+class CorruptCheckpoint(ValueError):
+    """A checkpoint file is truncated, mislabelled or otherwise unreadable."""
+
+
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    # checked against the file size first, so a corrupt length never sizes a read
+    if fh.tell() + n > os.fstat(fh.fileno()).st_size:
+        raise CorruptCheckpoint(f"{path}: truncated {what}")
+    return fh.read(n)
+
+
 def load_checkpoint(path) -> tuple:
-    """Returns (config dict, {name: float32 array}); shapes are the caller's job."""
+    """Returns (config dict, {name: float32 array}); shapes are the caller's job.
+
+    Any malformed content raises CorruptCheckpoint naming the file.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(_HEAD.size)
-        if len(head) != _HEAD.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, cfg_len = _HEAD.unpack(head)
+        magic, version, cfg_len = _HEAD.unpack(_read_exact(fh, _HEAD.size, path, "header"))
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
+            raise CorruptCheckpoint(f"{path}: not a checkpoint file (magic {magic!r})")
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        config = json.loads(fh.read(cfg_len).decode())
-        (n_blobs,) = struct.unpack("<I", fh.read(4))
+            raise CorruptCheckpoint(f"{path}: unsupported version {version}")
+        try:
+            config = json.loads(_read_exact(fh, cfg_len, path, "config payload").decode())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise CorruptCheckpoint(f"{path}: unreadable config payload ({exc})") from exc
+        (n_blobs,) = struct.unpack("<I", _read_exact(fh, 4, path, "blob count"))
         arrays = {}
         for _ in range(n_blobs):
-            (name_len,) = _BLOB_NAME.unpack(fh.read(_BLOB_NAME.size))
-            name = fh.read(name_len).decode()
-            (count,) = _BLOB_COUNT.unpack(fh.read(_BLOB_COUNT.size))
-            data = fh.read(count * 4)
-            if len(data) != count * 4:
-                raise ValueError(f"{path}: blob {name!r} truncated")
+            (name_len,) = _BLOB_NAME.unpack(_read_exact(fh, _BLOB_NAME.size, path, "blob header"))
+            raw = _read_exact(fh, name_len, path, "blob name")
+            try:
+                name = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise CorruptCheckpoint(f"{path}: unreadable blob name ({exc})") from exc
+            (count,) = _BLOB_COUNT.unpack(_read_exact(fh, _BLOB_COUNT.size, path, "blob header"))
+            data = _read_exact(fh, count * 4, path, f"blob {name!r}")
             arrays[name] = np.frombuffer(data, dtype="<f4").copy()
         return config, arrays

@@ -13,6 +13,7 @@ import os
 import sys
 
 from .baseband import load_taps
+from .checkpoint import CorruptCheckpoint
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except ArtifactMismatch as exc:
+    except (ArtifactMismatch, CorruptCheckpoint) as exc:
         return _fail(EXIT_ARTIFACT, str(exc))
     except OSError as exc:
         return _fail(EXIT_CONFIG, str(exc))

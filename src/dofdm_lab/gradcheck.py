@@ -113,6 +113,15 @@ def _op_checks():
             [x, k, w],
         )
 
+    def c_conv_unbatched(rng):
+        x = rng.standard_normal((3, 5, 4))
+        k = rng.standard_normal((1, 3, 3, 3))
+        w = rng.standard_normal((1, 5, 4))
+        return (
+            lambda t, xs: ad.mean(t, ad.mul(t, ad.conv2d_same(t, xs[0], xs[1]), xs[2])),
+            [x, k, w],
+        )
+
     def c_mish(rng):
         x = rng.standard_normal((3, 4)) * 3.0
         return lambda t, xs: ad.mean(t, ad.mish(t, xs[0])), [x]
@@ -124,6 +133,14 @@ def _op_checks():
     def c_linear(rng):
         x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
         return lambda t, xs: ad.mean(t, ad.linear(t, xs[0], xs[1], xs[2])), [x, w, b]
+
+    def c_linear_batched(rng):
+        x, w, b = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
+        v = rng.standard_normal((2, 5, 4))
+        return (
+            lambda t, xs: ad.mean(t, ad.mul(t, ad.linear(t, xs[0], xs[1], xs[2]), xs[3])),
+            [x, w, b, v],
+        )
 
     def c_normalize(rng):
         x = rng.random((3, 5)) + 0.5
@@ -167,9 +184,11 @@ def _op_checks():
         "softmax_rows": c_softmax,
         "layer_norm": c_layer_norm,
         "conv2d_same": c_conv,
+        "conv2d_same_unbatched": c_conv_unbatched,
         "mish": c_mish,
         "tanh": c_tanh,
         "linear": c_linear,
+        "linear_batched": c_linear_batched,
         "normalize_rows": c_normalize,
         "concat_slice_transpose": c_structural,
         "stack_reshape_scale": c_stack_scale,

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CorruptCheckpoint, load_checkpoint, save_checkpoint
 from .dnn_detector import DnnConfig, DnnDetector
 from .params import zero_all_grads
 from .preprocess import Dataset
@@ -167,9 +167,9 @@ def load_model_checkpoint(path, expect_manifest_hash: str | None = None):
     for name, tensor in model.params.items():
         key = f"param.{name}"
         if key not in arrays:
-            raise ValueError(f"{path}: missing parameter blob {name!r}")
+            raise CorruptCheckpoint(f"{path}: missing parameter blob {name!r}")
         if arrays[key].size != tensor.size:
-            raise ValueError(f"{path}: parameter {name!r} has {arrays[key].size} values, expected {tensor.size}")
+            raise CorruptCheckpoint(f"{path}: parameter {name!r} has {arrays[key].size} values, expected {tensor.size}")
         tensor.data = arrays[key].reshape(tensor.shape).copy()
     adam = None
     if config.get("adam_t") is not None:
@@ -281,10 +281,11 @@ def train(
                         save_model_checkpoint(os.path.join(out_dir, "best.ckpt"), model, manifest_hash)
                 if not quiet:
                     print(f"step {step}: val mse {val_mse:.2f} dB")
-            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+            stop = cfg.max_steps is not None and step >= cfg.max_steps
+            if stop or (cfg.checkpoint_every and step % cfg.checkpoint_every == 0):
                 checkpoint(epoch, b_i + 1, shuffle_state)
-            if cfg.max_steps is not None and step >= cfg.max_steps:
-                halted = halted or "max_steps"
+            if stop:
+                halted = "max_steps"
                 break
         else:
             skip_batches = 0

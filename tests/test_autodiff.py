@@ -136,6 +136,106 @@ def test_conv2d_same_matches_bruteforce():
     npt.assert_allclose(got, ref, rtol=1e-12)
 
 
+def _conv_9tap(x, k, g):
+    """Reference 3x3 same conv as nine shifted taps: (out, d out/dx . g, d out/dk . g)."""
+    h, w = x.shape[-2:]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)])
+    kd = k[0]
+    out = np.zeros(x.shape[:-3] + (h, w))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    red = tuple(i for i in range(x.ndim) if i != x.ndim - 3)
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[..., :, di : di + h, dj : dj + w]
+            out += (patch * kd[:, di, dj].reshape(-1, 1, 1)).sum(axis=-3)
+            gxp[..., :, di : di + h, dj : dj + w] += kd[:, di, dj].reshape(-1, 1, 1) * g[..., None, :, :]
+            gk[0, :, di, dj] += (patch * g[..., None, :, :]).sum(axis=red)
+    return out[..., None, :, :], gxp[..., :, 1 : 1 + h, 1 : 1 + w], gk
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+def test_conv2d_same_matches_nine_tap_loop(shape):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((1, shape[-3], 3, 3))
+    g = rng.standard_normal(shape[:-3] + shape[-2:])
+    tape = ad.Tape()
+    xt, kt = _tensor(x), _tensor(k)
+    out = ad.conv2d_same(tape, xt, kt)
+    weight = ad.Tensor(g[..., None, :, :], dtype=np.float64)
+    tape.backward(ad.sum_all(tape, ad.mul(tape, out, weight)))
+    ref_out, ref_gx, ref_gk = _conv_9tap(x, k, g)
+    npt.assert_allclose(out.data, ref_out, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(xt.grad, ref_gx, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(kt.grad, ref_gk, rtol=1e-12, atol=1e-12)
+
+
+def test_matmul_3d_by_2d_equals_batched_product():
+    rng = np.random.default_rng(12)
+    a, b, g = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 2)), rng.standard_normal((3, 4, 2))
+    tape = ad.Tape()
+    at, bt = _tensor(a), _tensor(b)
+    out = ad.matmul(tape, at, bt)
+    tape.backward(ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(g, dtype=np.float64))))
+    npt.assert_allclose(out.data, np.stack([a[i] @ b for i in range(3)]), rtol=1e-12)
+    npt.assert_allclose(at.grad, np.stack([g[i] @ b.T for i in range(3)]), rtol=1e-12)
+    npt.assert_allclose(bt.grad, sum(a[i].T @ g[i] for i in range(3)), rtol=1e-12)
+
+
+def test_fanout_adopted_gradient_is_never_written_in_place():
+    # sum_all's ones reach s and u, then a and b, as one shared array; a's later
+    # contribution from the scale must leave b's (and the upstream) gradient alone
+    tape = ad.Tape()
+    a, b = _tensor([1.0, 2.0]), _tensor([3.0, 4.0])
+    u = ad.scale(tape, a, 3.0)
+    s = ad.add(tape, a, b)
+    tape.backward(ad.sum_all(tape, ad.add(tape, s, u)))
+    npt.assert_array_equal(a.grad, [4.0, 4.0])
+    npt.assert_array_equal(b.grad, [1.0, 1.0])
+    npt.assert_array_equal(s.grad, [1.0, 1.0])
+
+
+def test_structural_ops_return_views():
+    tape = ad.Tape(recording=False)
+    x = ad.Tensor(np.arange(24.0).reshape(2, 3, 4))
+    for out in (
+        ad.transpose(tape, x),
+        ad.reshape(tape, x, (6, 4)),
+        ad.slice_rows(tape, x, 1, 3),
+        ad.slice_cols(tape, x, 0, 2),
+    ):
+        assert np.shares_memory(out.data, x.data)
+
+
+def test_float32_gradients_stay_float32():
+    rng = np.random.default_rng(13)
+    x, k, w = (
+        ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float32)
+        for shape in ((2, 3, 4, 4), (1, 3, 3, 3), (4, 5))
+    )
+    tape = ad.Tape()
+    conv = ad.reshape(tape, ad.conv2d_same(tape, x, k), (2, 4, 4))
+    y = ad.mish(tape, ad.linear(tape, ad.transpose(tape, conv), w))
+    tape.backward(ad.mean(tape, y))
+    assert {t.grad.dtype for t in (x, k, w)} == {np.dtype(np.float32)}
+
+
+def test_float32_mish_matches_logaddexp_formula():
+    # numpy's vectorized float32 exp and log1p are accurate to a few ulp, not
+    # correctly rounded, so the two softplus forms may differ by up to 4 ulp
+    # while exp(-|x|) is a normal float; below that both round into subnormals
+    x = np.linspace(-100.0, 100.0, 40001, dtype=np.float32)
+    tape = ad.Tape(recording=False)
+    got = ad.mish(tape, ad.Tensor(x)).data
+    assert got.dtype == np.float32 and np.all(np.isfinite(got))
+    ref = x * np.tanh(np.logaddexp(np.float32(0.0), x))
+    normal = x >= -87.0
+    npt.assert_array_max_ulp(got[normal], ref[normal], maxulp=4)
+    npt.assert_allclose(got[~normal], ref[~normal], rtol=0, atol=np.finfo(np.float32).tiny)
+    assert got[-1] == np.float32(100.0)
+
+
 def test_conv2d_kernel_shape_rejected():
     tape = ad.Tape(recording=False)
     x = ad.Tensor(np.zeros((2, 4, 4)))

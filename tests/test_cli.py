@@ -217,6 +217,29 @@ class TestEval:
         )
         assert rc == 3
 
+    def test_corrupt_checkpoint_exits_3_and_names_the_file(self, workdir, tmp_path, capsys):
+        cfg_path, out = workdir
+        self._trained(cfg_path, out)
+        raw = (out / "run-trans" / "last.ckpt").read_bytes()
+        cfg_len = int.from_bytes(raw[8:12], "little")
+        blob = 12 + cfg_len + 4  # first blob's name-length header
+        name_len = int.from_bytes(raw[blob : blob + 4], "little")
+        variants = {
+            f"cut{n}": raw[:n]
+            for n in (0, 3, 12 + cfg_len // 2, blob - 2, blob + 2, blob + 4 + name_len + 3, len(raw) - 1)
+        }
+        variants["magic"] = b"X" + raw[1:]
+        variants["json"] = raw[:12] + b"x" + raw[13:]
+        variants["utf8"] = raw[:12] + b"\xff" + raw[13:]
+        capsys.readouterr()
+        for label, data in variants.items():
+            bad = tmp_path / f"{label}.ckpt"
+            bad.write_bytes(data)
+            rc = _run("eval", "--config", str(cfg_path), "--out", str(out), "--checkpoint", str(bad))
+            err = capsys.readouterr().err
+            assert rc == 3, label
+            assert str(bad) in err and "Traceback" not in err, label
+
     def test_window_mismatch_exits_3(self, workdir, tmp_path):
         cfg_path, out = workdir
         ckpt = self._trained(cfg_path, out)

@@ -179,11 +179,37 @@ class TestTrainLoop:
             resume=payload["train_state"], adam=adam,
         )
         assert result.steps == 8
-        assert result.curve[0][0] == 5  # picks up after the step-4 checkpoint
+        assert result.curve[0][0] == 6  # picks up after the step-5 checkpoint written at max_steps
         for name in straight.params:
             np.testing.assert_array_equal(
                 straight.params[name].data, resumed.params[name].data
             )
+
+    def test_max_steps_stop_checkpoints_its_own_step(self, tmp_path):
+        ds = _toy_dataset()  # 16 train samples: 4 steps/epoch at batch 4
+        cfg = dict(epochs=3, batch_size=4, warmup=10, seed=9, val_every=0, checkpoint_every=4)
+
+        straight = tr.train(TransDetector.init(TINY, seed=2), ds, tr.TrainConfig(**cfg))
+
+        primed = tr.train(
+            TransDetector.init(TINY, seed=2), ds, tr.TrainConfig(**cfg, max_steps=7), out_dir=tmp_path
+        )
+        resumed, payload, adam = tr.load_model_checkpoint(tmp_path / "last.ckpt")
+        assert payload["train_state"]["step"] == 7
+        rest = tr.train(resumed, ds, tr.TrainConfig(**cfg), resume=payload["train_state"], adam=adam)
+        assert primed.curve + rest.curve == straight.curve
+
+    def test_max_steps_on_a_boundary_writes_once(self, tmp_path, monkeypatch):
+        writes = []
+        real = tr.save_model_checkpoint
+        monkeypatch.setattr(
+            tr, "save_model_checkpoint",
+            lambda path, *a, **k: (writes.append(k["train_state"]["step"]), real(path, *a, **k)),
+        )
+        cfg = tr.TrainConfig(epochs=3, batch_size=4, warmup=10, seed=9, val_every=0,
+                             checkpoint_every=3, max_steps=3)
+        tr.train(TransDetector.init(TINY, seed=2), _toy_dataset(), cfg, out_dir=tmp_path)
+        assert writes == [3]
 
 
 def test_build_model_round_trips_config():

@@ -421,8 +421,9 @@ def mish(tape: Tape, x: Tensor) -> Tensor:
             g = out.grad
             if g is None:
                 return
-            # sigmoid(x) from e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below
-            sig = np.where(xd >= 0, 1, e)
+            # sigmoid(x) from e = exp(-|x|): 1/(1+e) for x >= 0, e/(1+e) below;
+            # e <= 1 everywhere, so max(e, x >= 0) picks 1 or e
+            sig = np.maximum(e, xd >= 0)
             sig /= 1 + e
             d = t * t
             np.subtract(1, d, out=d)

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,18 +17,98 @@ from . import autodiff as ad
 from .baseband import FrameSim, qpsk_demap, single_fft_detect
 from .preprocess import unfold_normalize, window_samples
 
-EVAL_BATCH = 512
+EVAL_BATCH = 256
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 
 def predict(model, windows: np.ndarray, batch_size: int = EVAL_BATCH, seed: int = 0) -> np.ndarray:
-    """Forward a window array in eval mode; denoising rows use a fixed-seed rng."""
+    """Forward a window array in eval mode, batches spread over the usable cores.
+
+    Denoising-row noise is drawn here, batch by batch in order from a
+    fixed-seed rng, so the output does not depend on the worker count. At
+    most one batch per worker is in flight, and OpenBLAS runs single-threaded
+    meanwhile; without a known OpenBLAS the batches run serially.
+    """
     rng = np.random.default_rng(seed)
-    outs = []
-    for i in range(0, windows.shape[0], batch_size):
-        tape = ad.Tape(recording=False)
-        out = model.forward(tape, windows[i : i + batch_size], rng=rng)
-        outs.append(out.data.copy())
+    draw = getattr(model, "draw_noise", None)
+
+    def jobs():
+        for i in range(0, windows.shape[0], batch_size):
+            chunk = windows[i : i + batch_size]
+            yield chunk, None if draw is None else draw(rng, chunk.shape[0])
+
+    def run(chunk, noise):
+        kwargs = {} if noise is None else {"noise": noise}
+        return model.forward(ad.Tape(recording=False), chunk, **kwargs).data
+
+    workers = min(_usable_cores(), -(-windows.shape[0] // batch_size))
+    controls = _openblas_controls()
+    if workers <= 1 or controls is None:
+        outs = [run(*job) for job in jobs()]
+    else:
+        outs = []
+        with _blas_single_threaded(controls), ThreadPoolExecutor(workers) as pool:
+            pending = deque()
+            for job in jobs():
+                if len(pending) == workers:
+                    outs.append(pending.popleft().result())
+                pending.append(pool.submit(run, *job))
+            outs.extend(f.result() for f in pending)
     return np.concatenate(outs) if outs else np.zeros((0, 2), dtype=np.float32)
+
+
+def _usable_cores() -> int:
+    """Cores in this process's CPU affinity (all cores where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded in the process, or None."""
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:  # Linux: the mapped files, path last
+            for line in fh:
+                fields = line.split(None, 5)
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return None
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls) or None
+
+
+@contextmanager
+def _blas_single_threaded(controls):
+    """Run the body with every given OpenBLAS at 1 thread, then restore the old counts."""
+    old = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, old):
+            set_(count)
 
 
 def evaluate_mse_db(pred: np.ndarray, target: np.ndarray) -> float:

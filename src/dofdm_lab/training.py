@@ -164,20 +164,23 @@ def load_model_checkpoint(path, expect_manifest_hash: str | None = None):
             f"expected {expect_manifest_hash[:12]}..."
         )
     model = build_model(config["model_type"], config["model_config"])
-    for name, tensor in model.params.items():
-        key = f"param.{name}"
+
+    def blob(key, tensor):
         if key not in arrays:
-            raise CorruptCheckpoint(f"{path}: missing parameter blob {name!r}")
+            raise CorruptCheckpoint(f"{path}: missing blob {key!r}")
         if arrays[key].size != tensor.size:
-            raise CorruptCheckpoint(f"{path}: parameter {name!r} has {arrays[key].size} values, expected {tensor.size}")
-        tensor.data = arrays[key].reshape(tensor.shape).copy()
+            raise CorruptCheckpoint(f"{path}: blob {key!r} has {arrays[key].size} values, expected {tensor.size}")
+        return arrays[key].reshape(tensor.shape).copy()
+
+    for name, tensor in model.params.items():
+        tensor.data = blob(f"param.{name}", tensor)
     adam = None
     if config.get("adam_t") is not None:
         adam = AdamState.init(model.params)
         adam.t = int(config["adam_t"])
         for name, tensor in model.params.items():
-            adam.m[name] = arrays[f"adam.m.{name}"].reshape(tensor.shape).copy()
-            adam.v[name] = arrays[f"adam.v.{name}"].reshape(tensor.shape).copy()
+            adam.m[name] = blob(f"adam.m.{name}", tensor)
+            adam.v[name] = blob(f"adam.v.{name}", tensor)
     return model, config, adam
 
 
@@ -282,7 +285,9 @@ def train(
                 if not quiet:
                     print(f"step {step}: val mse {val_mse:.2f} dB")
             stop = cfg.max_steps is not None and step >= cfg.max_steps
-            if stop or (cfg.checkpoint_every and step % cfg.checkpoint_every == 0):
+            boundary = cfg.checkpoint_every and step % cfg.checkpoint_every == 0
+            # an epoch's last batch is checkpointed by the end-of-epoch write
+            if stop or (boundary and b_i < len(batches) - 1):
                 checkpoint(epoch, b_i + 1, shuffle_state)
             if stop:
                 halted = "max_steps"
@@ -294,6 +299,4 @@ def train(
         break
     if halted and halted != "max_steps":
         raise NonFiniteGradError(halted)
-    if halted is None:
-        checkpoint(cfg.epochs, 0, shuffle_rng.bit_generator.state)
     return TrainResult(step, curve, val_history, best_val, halted)

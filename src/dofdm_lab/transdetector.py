@@ -173,6 +173,13 @@ class TransDetector:
 
     # ---- forward ----
 
+    def draw_noise(self, rng: np.random.Generator, batch: int) -> np.ndarray | None:
+        """The (batch, dns_noise_dim) denoising-row input forward draws; None without the row."""
+        cfg = self.cfg
+        if not cfg.dns_enabled:
+            return None
+        return rng.normal(cfg.dns_mean, cfg.dns_std, size=(batch, cfg.dns_noise_dim))
+
     def forward(
         self,
         tape: ad.Tape,
@@ -208,7 +215,7 @@ class TransDetector:
             if noise is None:
                 if rng is None:
                     raise ValueError("dns is enabled: pass rng= or an explicit noise= batch")
-                noise = rng.normal(cfg.dns_mean, cfg.dns_std, size=(batch, cfg.dns_noise_dim))
+                noise = self.draw_noise(rng, batch)
             noise = np.asarray(noise, dtype=dtype)
             if noise.shape != (batch, cfg.dns_noise_dim):
                 raise ad.DimensionError(

@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from dofdm_lab import autodiff as ad
 from dofdm_lab import baseband as bb
@@ -282,6 +283,7 @@ def _smoothed_crossing(losses, threshold, window):
     return int(hits[0] + window) if hits.size else None
 
 
+@pytest.mark.slow
 def test_criterion_09_directional_end_to_end(criteria):
     t0 = time.perf_counter()
     cfg = parse_config(E2E_RAW)

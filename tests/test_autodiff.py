@@ -236,6 +236,27 @@ def test_float32_mish_matches_logaddexp_formula():
     assert got[-1] == np.float32(100.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mish_backward_matches_where_form(dtype):
+    # the backward picks sigmoid's numerator as max(e, x >= 0); this is the
+    # np.where(x >= 0, 1, e) form step for step, and must agree bit for bit
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 87.5, -87.5, 104.0, -104.0, 1e4, -1e4, 1e-30, -1e-30]
+    x = np.concatenate([special, np.linspace(-120.0, 120.0, 4801)]).astype(dtype)
+    t = ad.Tensor(x, requires_grad=True)
+    with np.errstate(all="ignore"):
+        tape = ad.Tape()
+        tape.backward(ad.mean(tape, ad.mish(tape, t)))
+        e = np.exp(-np.abs(x))
+        th = np.tanh(np.maximum(x, 0) + np.log1p(e))
+        sig = np.where(x >= 0, 1, e)
+        sig /= 1 + e
+        ref = (1 - th * th) * x * sig + th
+        ref *= np.full_like(x, 1.0 / x.size)
+    assert t.grad.dtype == ref.dtype == dtype
+    npt.assert_array_equal(t.grad, ref)
+    npt.assert_array_equal(np.signbit(t.grad), np.signbit(ref))
+
+
 def test_conv2d_kernel_shape_rejected():
     tape = ad.Tape(recording=False)
     x = ad.Tensor(np.zeros((2, 4, 4)))

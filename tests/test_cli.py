@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dofdm_lab import cli
+from dofdm_lab.checkpoint import load_checkpoint, save_checkpoint
 from dofdm_lab.evaluation import read_attention_matrix
 from dofdm_lab.training import load_model_checkpoint
 
@@ -231,6 +232,15 @@ class TestEval:
         variants["magic"] = b"X" + raw[1:]
         variants["json"] = raw[:12] + b"x" + raw[13:]
         variants["utf8"] = raw[:12] + b"\xff" + raw[13:]
+        # well-formed files whose Adam moments do not fit the model
+        config, arrays = load_checkpoint(out / "run-trans" / "last.ckpt")
+        m_key = next(k for k in sorted(arrays) if k.startswith("adam.m."))
+        v_key = next(k for k in sorted(arrays) if k.startswith("adam.v."))
+        blobs = {"no-adam-m": (m_key, {k: a for k, a in arrays.items() if k != m_key}),
+                 "short-adam-v": (v_key, dict(arrays, **{v_key: arrays[v_key][:-1]}))}
+        for label, (_, data) in blobs.items():
+            save_checkpoint(tmp_path / "blobs.ckpt", config, data)
+            variants[label] = (tmp_path / "blobs.ckpt").read_bytes()
         capsys.readouterr()
         for label, data in variants.items():
             bad = tmp_path / f"{label}.ckpt"
@@ -239,6 +249,8 @@ class TestEval:
             err = capsys.readouterr().err
             assert rc == 3, label
             assert str(bad) in err and "Traceback" not in err, label
+            if label in blobs:
+                assert blobs[label][0] in err, label
 
     def test_window_mismatch_exits_3(self, workdir, tmp_path):
         cfg_path, out = workdir

@@ -1,12 +1,17 @@
 """Metrics, frame-level scoring, attention averaging, artifact writers."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from dofdm_lab import autodiff as ad
 from dofdm_lab import baseband as bb
 from dofdm_lab import evaluation as ev
+from dofdm_lab.dnn_detector import DnnConfig, DnnDetector
 from dofdm_lab.transdetector import ModelConfig, TransDetector
 
 CFG = bb.FrameConfig(
@@ -84,6 +89,118 @@ class TestPredict:
         np.testing.assert_array_equal(
             ev.predict(model, windows, seed=2), ev.predict(model, windows, seed=2)
         )
+
+
+def _serial_predict(model, windows, seed):
+    """The reference: one forward per EVAL_BATCH slice, noise drawn by forward itself."""
+    rng = np.random.default_rng(seed)
+    outs = [
+        model.forward(ad.Tape(recording=False), windows[i : i + ev.EVAL_BATCH], rng=rng).data
+        for i in range(0, windows.shape[0], ev.EVAL_BATCH)
+    ]
+    return np.concatenate(outs) if outs else np.zeros((0, 2), dtype=np.float32)
+
+
+class _FakeBlas:
+    """Stands in for one OpenBLAS thread control; records every count it is set to."""
+
+    def __init__(self, count):
+        self.count = count
+        self.history = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.count = n
+        self.history.append(n)
+
+
+class _Spy:
+    """Wraps a detector: records each forward's thread and BLAS counts, raises on one batch size."""
+
+    def __init__(self, inner, fakes=(), bad_rows=-1):
+        self.inner, self.fakes, self.bad_rows = inner, fakes, bad_rows
+        self.threads, self.counts = [], []
+
+    def forward(self, tape, windows, **kwargs):
+        self.threads.append(threading.get_ident())
+        self.counts.append([f.count for f in self.fakes])
+        if windows.shape[0] == self.bad_rows:
+            raise RuntimeError("boom")
+        return self.inner.forward(tape, windows, **kwargs)
+
+
+_DETECTORS = {
+    "trans": lambda: TransDetector.init(TINY, seed=0),
+    "trans-no-dns": lambda: TransDetector.init(dataclasses.replace(TINY, dns_enabled=False), seed=0),
+    "dnn": lambda: DnnDetector.init(DnnConfig(window_len=8, hidden=(16, 16)), seed=0),
+}
+
+
+class TestParallelPredict:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(_DETECTORS))
+    def test_matches_serial_loop_bytes(self, kind, workers, monkeypatch):
+        model = _DETECTORS[kind]()
+        monkeypatch.setattr(ev, "_usable_cores", lambda: workers)
+        windows = np.random.default_rng(7).normal(size=(1023, 8, 2)).astype(np.float32)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches between the workers
+        try:
+            for n in (0, 1, 255, 256, 257, 1023):
+                got = ev.predict(model, windows[:n], seed=4)
+                ref = _serial_predict(model, windows[:n], seed=4)
+                assert got.shape == (n, 2) and got.dtype == ref.dtype, n
+                assert got.tobytes() == ref.tobytes(), n
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("found", [False, True])
+    def test_workers_only_with_an_openblas_control(self, found, monkeypatch):
+        blas = _FakeBlas(2)
+        monkeypatch.setattr(ev, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(ev, "_openblas_controls", lambda: ((blas.get, blas.set),) if found else None)
+        spy = _Spy(_DETECTORS["dnn"]())
+        ev.predict(spy, np.zeros((3 * ev.EVAL_BATCH, 8, 2), dtype=np.float32))
+        assert len(spy.threads) == 3
+        if found:
+            assert threading.get_ident() not in spy.threads
+            assert blas.history == [1, 2]
+        else:
+            assert set(spy.threads) == {threading.get_ident()}
+            assert blas.history == []
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_blas_threads_pinned_then_restored(self, fails, monkeypatch):
+        fakes = [_FakeBlas(2), _FakeBlas(5)]
+        monkeypatch.setattr(ev, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(ev, "_openblas_controls", lambda: tuple((f.get, f.set) for f in fakes))
+        spy = _Spy(_DETECTORS["dnn"](), fakes, bad_rows=3 if fails else -1)
+        windows = np.zeros((ev.EVAL_BATCH + 3, 8, 2), dtype=np.float32)
+        if fails:
+            with pytest.raises(RuntimeError, match="boom"):
+                ev.predict(spy, windows)
+        else:
+            assert ev.predict(spy, windows).shape == (ev.EVAL_BATCH + 3, 2)
+        assert spy.counts == [[1, 1], [1, 1]]
+        assert [f.count for f in fakes] == [2, 5]
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_real_openblas_counts_restored(self, fails, monkeypatch):
+        controls = ev._openblas_controls()
+        if controls is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+        monkeypatch.setattr(ev, "_usable_cores", lambda: 2)
+        before = [get() for get, _ in controls]
+        spy = _Spy(_DETECTORS["dnn"](), bad_rows=3 if fails else -1)
+        windows = np.zeros((ev.EVAL_BATCH + 3, 8, 2), dtype=np.float32)
+        if fails:
+            with pytest.raises(RuntimeError, match="boom"):
+                ev.predict(spy, windows)
+        else:
+            ev.predict(spy, windows)
+        assert [get() for get, _ in controls] == before
 
 
 class TestEvaluateFrames:

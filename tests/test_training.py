@@ -211,6 +211,20 @@ class TestTrainLoop:
         tr.train(TransDetector.init(TINY, seed=2), _toy_dataset(), cfg, out_dir=tmp_path)
         assert writes == [3]
 
+    def test_each_step_checkpointed_once(self, tmp_path, monkeypatch):
+        writes = []
+        real = tr.save_model_checkpoint
+        monkeypatch.setattr(
+            tr, "save_model_checkpoint",
+            lambda path, *a, **k: (writes.append(k["train_state"]["step"]), real(path, *a, **k)),
+        )
+        # 4 steps per epoch: the step-4 and step-8 boundaries end an epoch, and step 8 ends the run
+        cfg = tr.TrainConfig(epochs=2, batch_size=4, warmup=10, seed=9, val_every=0, checkpoint_every=2)
+        tr.train(TransDetector.init(TINY, seed=2), _toy_dataset(), cfg, out_dir=tmp_path)
+        assert writes == [2, 4, 6, 8]
+        _, payload, _ = tr.load_model_checkpoint(tmp_path / "last.ckpt")
+        assert (payload["train_state"]["epoch"], payload["train_state"]["batches_done"]) == (2, 0)
+
 
 def test_build_model_round_trips_config():
     model = tr.build_model("trans", tr.model_config_dict(TransDetector.init(TINY, seed=0)))

@@ -208,3 +208,38 @@ def test_params_override_accepts_doubles():
     noise = np.random.default_rng(5).normal(size=(2, 6))
     out = model.forward(ad.Tape(recording=False), x, params=doubles, noise=noise)
     assert out.data.dtype == np.float64
+
+
+# Paper-size float64 output on 8 fixed windows with fixed noise, captured
+# before attention heads became a tensor axis. A change that alters what the
+# model computes must update these values on purpose.
+GOLDEN_OUTPUT = [
+    [0.8752214062787771, -0.6964844291204985],
+    [0.9950475733857975, 0.7319190995033583],
+    [-0.9887365797089883, 0.21339731530982037],
+    [0.9937298839238774, 0.9946623752527035],
+    [0.9974960979859969, 0.9987535210308601],
+    [0.03675507852379807, 0.892620060840123],
+    [0.6289423184829988, -0.45977095029154474],
+    [0.9925234467137637, -0.519366666847152],
+]
+
+
+def _paper_size_case():
+    model = td.TransDetector.init(td.ModelConfig(), seed=0, dtype=np.float64)
+    rng = np.random.default_rng(2024)
+    return model, rng.normal(size=(8, 16, 2)), rng.normal(size=(8, 16))
+
+
+def test_paper_size_float64_output_is_pinned():
+    model, x, noise = _paper_size_case()
+    out = model.forward(ad.Tape(recording=False), x, noise=noise).data
+    assert out.dtype == np.float64
+    np.testing.assert_allclose(out, GOLDEN_OUTPUT, rtol=1e-12, atol=0)
+
+
+def test_paper_size_forward_tape_length_is_pinned():
+    model, x, noise = _paper_size_case()
+    tape = ad.Tape()
+    model.forward(tape, x[:1], noise=noise[:1])
+    assert len(tape) == 437

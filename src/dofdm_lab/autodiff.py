@@ -115,11 +115,6 @@ def _accum(t: Tensor, g) -> None:
         t.grad = t.grad + g
 
 
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
 def _check_dtypes(*tensors):
     dts = {t.dtype for t in tensors}
     if len(dts) > 1:
@@ -130,17 +125,18 @@ def _check_dtypes(*tensors):
 
 
 def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; operands may carry one leading batch axis."""
+    """Matrix product over the last two axes: equal leading batch axes, or a
+    2-D b applied to every matrix of a."""
     _check_dtypes(a, b)
-    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
-        raise DimensionError(f"matmul supports 2-D/3-D operands, got {a.shape} @ {b.shape}")
-    if a.ndim == 2 and b.ndim == 3:
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul needs operands of at least 2 axes, got {a.shape} @ {b.shape}")
+    if a.ndim == 2 and b.ndim > 2:
         raise DimensionError("matmul does not broadcast an unbatched left operand over a batched right one")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
+    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
-    flat = a.ndim == 3 and b.ndim == 2
+    flat = a.ndim > 2 and b.ndim == 2
     if flat:
         # one (batch*rows, d) GEMM instead of a batched product
         a2 = a.data.reshape(-1, a.shape[-1])
@@ -165,16 +161,22 @@ def matmul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(tape: Tape, x: Tensor) -> Tensor:
-    """Swap the last two axes; the result is a view of x's data."""
-    if x.ndim < 2:
-        raise DimensionError("transpose needs at least 2 axes")
-    out = Tensor(np.swapaxes(x.data, -1, -2))
+def transpose(tape: Tape, x: Tensor, axes=None) -> Tensor:
+    """Permute the axes (default: swap the last two); the result is a view of x's data."""
+    if axes is None:
+        if x.ndim < 2:
+            raise DimensionError("transpose needs at least 2 axes")
+        axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise DimensionError(f"transpose axes {axes} are not a permutation of {x.ndim} axes")
+    back = tuple(np.argsort(axes))
+    out = Tensor(np.transpose(x.data, axes))
     if tape._wants(x):
 
         def fn():
             if out.grad is not None:
-                _accum(x, np.swapaxes(out.grad, -1, -2))
+                _accum(x, np.transpose(out.grad, back))
 
         tape._record(out, fn)
     return out
@@ -354,18 +356,6 @@ def reshape(tape: Tape, x: Tensor, shape) -> Tensor:
 # ---- reductions ----
 
 
-def sum_all(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype))
-    if tape._wants(x):
-
-        def fn():
-            if out.grad is not None:
-                _accum(x, np.full_like(x.data, out.grad.reshape(())))
-
-        tape._record(out, fn)
-    return out
-
-
 def mean(tape: Tape, x: Tensor) -> Tensor:
     if x.size == 0:
         raise DimensionError("mean of an empty tensor")
@@ -442,9 +432,9 @@ def mish(tape: Tape, x: Tensor) -> Tensor:
 
 def softmax_rows(tape: Tape, x: Tensor) -> Tensor:
     """Row-stabilized softmax along the last axis."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
     if tape._wants(x):
 
@@ -521,36 +511,46 @@ def _windows3x3(a: np.ndarray) -> np.ndarray:
 
 
 def conv2d_same(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
-    """3x3 same-padding convolution collapsing c channels to 1, no bias.
+    """Grouped 3x3 same-padding convolution, no bias: each group collapses c channels to 1.
 
-    x: (..., c, h, w); kernel: (1, c, 3, 3); output: (..., 1, h, w).
+    x: (..., g, c, h, w); kernel: (g, c, 3, 3); output: (..., g, h, w).
     """
     _check_dtypes(x, kernel)
-    if x.ndim not in (3, 4):
-        raise DimensionError(f"conv2d_same input must be (c,h,w) or (batch,c,h,w), got {x.shape}")
-    c = x.shape[-3]
-    if kernel.shape != (1, c, 3, 3):
-        raise DimensionError(f"conv kernel must be (1,{c},3,3), got {kernel.shape}")
-    lead = x.ndim - 3
-    kd = kernel.data[0]
-    # (..., c, h, w, 3, 3): the 3x3 neighbourhood of every output pixel. Each
-    # tensordot below gathers the window axes ahead of (h, w), so the copy it
-    # makes runs along contiguous rows.
-    win = _windows3x3(x.data)
-    out = Tensor(np.tensordot(kd, win, axes=([0, 1, 2], [lead, -2, -1]))[..., None, :, :])
+    if x.ndim < 4:
+        raise DimensionError(f"conv2d_same input must be (..., g, c, h, w), got {x.shape}")
+    if kernel.shape != x.shape[-4:-2] + (3, 3):
+        raise DimensionError(f"conv kernel must be {x.shape[-4:-2] + (3, 3)}, got {kernel.shape}")
+    groups = x.shape[-4]
+    lead = x.ndim - 4
+    batch = list(range(lead))
+
+    def windows(j):
+        # (..., c, h, w, 3, 3): the 3x3 neighbourhood of every output pixel of
+        # group j. Each tensordot below gathers the window axes ahead of (h, w),
+        # so the copy it makes runs along contiguous rows.
+        return _windows3x3(x.data[..., j, :, :, :])
+
+    # one group at a time, so the padded copy and the gather stay one group in size
+    y = np.empty(x.shape[:-3] + x.shape[-2:], dtype=x.dtype)
+    for j in range(groups):
+        y[..., j, :, :] = np.tensordot(kernel.data[j], windows(j), axes=([0, 1, 2], [lead, -2, -1]))
+    out = Tensor(y)
     if tape._wants(x, kernel):
 
         def fn():
             g = out.grad
             if g is None:
                 return
-            g2 = g[..., 0, :, :]
-            batch = list(range(lead))
-            gk = np.tensordot(win, g2, axes=(batch + [lead + 1, lead + 2], batch + [lead, lead + 1]))
-            # input gradient: correlate the padded output gradient with the flipped kernel
-            gx = np.tensordot(kd[:, ::-1, ::-1], _windows3x3(g2), axes=([1, 2], [-2, -1]))
-            _accum(x, np.moveaxis(gx, 0, -3))
-            _accum(kernel, gk[None])
+            gx = np.empty_like(x.data)
+            gk = np.empty_like(kernel.data)
+            for j in range(groups):
+                gj = g[..., j, :, :]
+                gk[j] = np.tensordot(windows(j), gj, axes=(batch + [lead + 1, lead + 2], batch + [lead, lead + 1]))
+                # input gradient: correlate the padded output gradient with the flipped kernel
+                gxj = np.tensordot(kernel.data[j, :, ::-1, ::-1], _windows3x3(gj), axes=([1, 2], [-2, -1]))
+                gx[..., j, :, :, :] = np.moveaxis(gxj, 0, -3)
+            _accum(x, gx)
+            _accum(kernel, gk)
 
         tape._record(out, fn)
     return out
@@ -558,12 +558,9 @@ def conv2d_same(tape: Tape, x: Tensor, kernel: Tensor) -> Tensor:
 
 def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map along the last axis: x @ w (+ b)."""
-    if x.ndim == 3 and w.ndim == 2:
-        out = matmul(tape, x, w)
-    elif x.ndim == 2 and w.ndim == 2:
-        out = matmul(tape, x, w)
-    else:
+    if x.ndim not in (2, 3) or w.ndim != 2:
         raise DimensionError(f"linear expects 2-D/3-D x with 2-D w, got {x.shape} @ {w.shape}")
+    out = matmul(tape, x, w)
     if b is not None:
         out = add(tape, out, b)
     return out

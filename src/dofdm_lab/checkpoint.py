@@ -22,18 +22,27 @@ _BLOB_COUNT = struct.Struct("<Q")
 
 
 def save_checkpoint(path, config: dict, arrays: dict) -> None:
+    """Write to a temporary file beside path, then rename it over path, so a
+    write that fails or is killed part-way leaves any previous file intact."""
     payload = json.dumps(config, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(payload)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-            raw = name.encode()
-            fh.write(_BLOB_NAME.pack(len(raw)))
-            fh.write(raw)
-            fh.write(_BLOB_COUNT.pack(arr.size))
-            fh.write(arr.tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(payload)))
+            fh.write(payload)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+                raw = name.encode()
+                fh.write(_BLOB_NAME.pack(len(raw)))
+                fh.write(raw)
+                fh.write(_BLOB_COUNT.pack(arr.size))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class CorruptCheckpoint(ValueError):

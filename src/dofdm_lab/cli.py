@@ -36,6 +36,7 @@ from .gradcheck import run_suite
 from .preprocess import build_dataset, load_dataset, save_dataset
 from .training import (
     ArtifactMismatch,
+    NonFiniteGradError,
     TrainConfig,
     build_model,
     load_model_checkpoint,
@@ -344,6 +345,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except (ArtifactMismatch, CorruptCheckpoint) as exc:
         return _fail(EXIT_ARTIFACT, str(exc))
+    except NonFiniteGradError as exc:
+        return _fail(EXIT_CHECK_FAILED, str(exc))
     except OSError as exc:
         return _fail(EXIT_CONFIG, str(exc))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .params import make_param, make_zeros, parameter_count
+from .params import make_param, make_zeros
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class DnnDetector:
             params[f"fc{i}.w"] = make_param(seed, f"dnn.fc{i}.w", (n_in, n_out), n_in, n_out, 1.0, dtype)
             params[f"fc{i}.b"] = make_zeros((n_out,), dtype)
         return cls(cfg, params)
-
-    def parameter_count(self) -> int:
-        return parameter_count(self.params)
 
     def forward(self, tape: ad.Tape, windows, params: dict | None = None, rng=None) -> ad.Tensor:
         """windows: (batch, window_len, 2) -> (batch, 2) in [-1, 1]."""

@@ -79,13 +79,12 @@ def _sampled_coords(arrays, per_tensor: int, rng) -> dict:
 
 
 def _op_checks():
-    def c_matmul(rng):
-        a, b = rng.standard_normal((4, 3)), rng.standard_normal((3, 5))
-        return lambda t, xs: ad.mean(t, ad.matmul(t, xs[0], xs[1])), [a, b]
+    def matmul_case(a_shape, b_shape):
+        def build(rng):
+            a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+            return lambda t, xs: ad.mean(t, ad.matmul(t, xs[0], xs[1])), [a, b]
 
-    def c_matmul_batched(rng):
-        a, b = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 3, 5))
-        return lambda t, xs: ad.mean(t, ad.matmul(t, xs[0], xs[1])), [a, b]
+        return build
 
     def c_softmax(rng):
         x = rng.standard_normal((3, 6))
@@ -104,23 +103,15 @@ def _op_checks():
             [x, g, b, w],
         )
 
-    def c_conv(rng):
-        x = rng.standard_normal((2, 3, 5, 5))
-        k = rng.standard_normal((1, 3, 3, 3))
-        w = rng.standard_normal((2, 1, 5, 5))
-        return (
-            lambda t, xs: ad.mean(t, ad.mul(t, ad.conv2d_same(t, xs[0], xs[1]), xs[2])),
-            [x, k, w],
-        )
+    def conv_case(shape):
+        # shape is (..., groups, channels, h, w)
+        def build(rng):
+            x = rng.standard_normal(shape)
+            k = rng.standard_normal(shape[-4:-2] + (3, 3))
+            w = rng.standard_normal(shape[:-3] + shape[-2:])
+            return lambda t, xs: ad.mean(t, ad.mul(t, ad.conv2d_same(t, xs[0], xs[1]), xs[2])), [x, k, w]
 
-    def c_conv_unbatched(rng):
-        x = rng.standard_normal((3, 5, 4))
-        k = rng.standard_normal((1, 3, 3, 3))
-        w = rng.standard_normal((1, 5, 4))
-        return (
-            lambda t, xs: ad.mean(t, ad.mul(t, ad.conv2d_same(t, xs[0], xs[1]), xs[2])),
-            [x, k, w],
-        )
+        return build
 
     def c_mish(rng):
         x = rng.standard_normal((3, 4)) * 3.0
@@ -159,6 +150,10 @@ def _op_checks():
 
         return loss, [a, b, rng.standard_normal((3, 4))]
 
+    def c_transpose_axes(rng):
+        x, w = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 2, 3))
+        return lambda t, xs: ad.mean(t, ad.mul(t, ad.transpose(t, xs[0], (2, 0, 1)), xs[1])), [x, w]
+
     def c_stack_scale(rng):
         a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
 
@@ -179,18 +174,21 @@ def _op_checks():
         return loss, [a, b]
 
     return {
-        "matmul": c_matmul,
-        "matmul_batched": c_matmul_batched,
+        "matmul": matmul_case((4, 3), (3, 5)),
+        "matmul_batched": matmul_case((2, 4, 3), (2, 3, 5)),
+        "matmul_4d": matmul_case((2, 3, 4, 3), (2, 3, 3, 5)),
         "softmax_rows": c_softmax,
         "layer_norm": c_layer_norm,
-        "conv2d_same": c_conv,
-        "conv2d_same_unbatched": c_conv_unbatched,
+        "conv2d_same": conv_case((2, 1, 3, 5, 5)),
+        "conv2d_same_unbatched": conv_case((1, 3, 5, 4)),
+        "conv2d_same_grouped": conv_case((2, 2, 3, 5, 4)),
         "mish": c_mish,
         "tanh": c_tanh,
         "linear": c_linear,
         "linear_batched": c_linear_batched,
         "normalize_rows": c_normalize,
         "concat_slice_transpose": c_structural,
+        "transpose_axes": c_transpose_axes,
         "stack_reshape_scale": c_stack_scale,
         "add_mul": c_add_mul,
     }
@@ -225,7 +223,7 @@ def _model_case(model, window, extra=None, per_tensor=20, seed=0):
     return check_case(make_loss, arrays, coords=coords)
 
 
-def check_transdetector(seeds=range(N_SEEDS), per_tensor=12) -> float:
+def check_transdetector(seeds=range(N_SEEDS), per_tensor=16) -> float:
     cfg = ModelConfig(
         d_model=16,
         window_len=8,

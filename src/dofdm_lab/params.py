@@ -30,6 +30,12 @@ def make_param(seed: int, name: str, shape, fan_in: int, fan_out: int, gain: flo
     return Tensor(data.astype(dtype), requires_grad=True)
 
 
+def make_stacked_param(seed: int, names, shape, fan_in: int, fan_out: int, gain: float, dtype, axis: int) -> Tensor:
+    """One `shape` slice per name, each drawn as make_param draws it, joined along axis."""
+    parts = [xavier_uniform(name_rng(seed, name), shape, fan_in, fan_out, gain) for name in names]
+    return Tensor(np.concatenate(parts, axis=axis).astype(dtype), requires_grad=True)
+
+
 def make_zeros(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 

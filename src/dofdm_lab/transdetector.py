@@ -9,11 +9,13 @@ The model maps a normalized complex window (window_len x 2 reals) to the
   an extra token inside layer 1 only,
 * encoder layers with DeepNorm residuals (LN(alpha*x + sublayer(x))) and a
   Mish feed-forward block,
+* multi-head attention over a heads axis: per layer, one (d, d) weight each
+  for Q, K and V and one scaled dot-product over (batch, heads, rows, rows),
 * interactive attention: layers are grouped; a non-first group member stacks
   the group's cached attention maps with its own as conv channels, applies a
-  3x3 kernel per head, and re-normalizes with a softmax. Kernels are keyed by
-  (position-in-group, head) and shared across groups, which keeps the
-  overhead at h * sum(position sizes) * 9 weights.
+  3x3 kernel per head (one grouped convolution), and re-normalizes with a
+  softmax. Kernels (heads, position-in-group, 3, 3) are shared across groups,
+  which keeps the overhead at h * sum(position sizes) * 9 weights.
 * output: the two center rows concatenated, one affine map, tanh.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .params import make_ones, make_param, make_zeros, parameter_count
+from .params import make_ones, make_param, make_stacked_param, make_zeros
 
 
 def trapezoid_encoding(window_len: int) -> np.ndarray:
@@ -104,22 +106,6 @@ class ModelConfig:
         return None
 
 
-class AttentionCache:
-    """Per-(group, head) ordered store of finalized attention maps within one forward."""
-
-    def __init__(self):
-        self._store = {}
-
-    def get(self, group, head: int) -> list:
-        return list(self._store.get((tuple(group), head), ()))
-
-    def append(self, group, head: int, mat) -> None:
-        self._store.setdefault((tuple(group), head), []).append(mat)
-
-    def lengths(self) -> dict:
-        return {k: len(v) for k, v in self._store.items()}
-
-
 class TransDetector:
     def __init__(self, cfg: ModelConfig, params: dict):
         self.cfg = cfg
@@ -136,18 +122,23 @@ class TransDetector:
         def w(key, shape, fan_in, fan_out, gain=1.0):
             p[key] = make_param(seed, "trans." + key, shape, fan_in, fan_out, gain, dtype)
 
+        def heads(prefix, leaf, shape, fan_in, fan_out, axis, gain=1.0):
+            # head j's slice comes from the stream of "<prefix>.h<j>.<leaf>", with
+            # a single head's fan-in and fan-out
+            names = [f"trans.{prefix}.h{j}.{leaf}" for j in range(cfg.n_heads)]
+            p[f"{prefix}.{leaf}"] = make_stacked_param(seed, names, shape, fan_in, fan_out, gain, dtype, axis)
+
         w("embed.w", (2, d), 2, d)
         p["embed.b"] = make_zeros((d,), dtype)
         if cfg.dns_enabled:
             w("dns.w", (cfg.dns_noise_dim, d), cfg.dns_noise_dim, d)
             p["dns.b"] = make_zeros((d,), dtype)
         for i in range(1, cfg.n_layers + 1):
-            for j in range(cfg.n_heads):
-                w(f"te{i}.h{j}.wq", (d, dk), d, dk)
-                w(f"te{i}.h{j}.wk", (d, dk), d, dk)
-                w(f"te{i}.h{j}.wv", (d, dk), d, dk, beta)
-                for nm in ("bq", "bk", "bv"):
-                    p[f"te{i}.h{j}.{nm}"] = make_zeros((dk,), dtype)
+            heads(f"te{i}", "wq", (d, dk), d, dk, axis=1)
+            heads(f"te{i}", "wk", (d, dk), d, dk, axis=1)
+            heads(f"te{i}", "wv", (d, dk), d, dk, axis=1, gain=beta)
+            for nm in ("bq", "bk", "bv"):
+                p[f"te{i}.{nm}"] = make_zeros((d,), dtype)
             w(f"te{i}.wo", (d, d), d, d, beta)
             p[f"te{i}.bo"] = make_zeros((d,), dtype)
             w(f"te{i}.ffn.w1", (d, dff), d, dff, beta)
@@ -158,18 +149,11 @@ class TransDetector:
                 p[f"te{i}.{ln}.g"] = make_ones((d,), dtype)
                 p[f"te{i}.{ln}.b"] = make_zeros((d,), dtype)
         for pos in range(2, max((len(g) for g in cfg.fusion_groups), default=1) + 1):
-            for j in range(cfg.n_heads):
-                w(f"fusion.p{pos}.h{j}.k", (1, pos, 3, 3), pos * 9, 9)
+            heads(f"fusion.p{pos}", "k", (1, pos, 3, 3), pos * 9, 9, axis=0)
         feat = 2 * d if cfg.pooling == "center_pair" else d
         w("head.w", (feat, 2), feat, 2)
         p["head.b"] = make_zeros((2,), dtype)
         return cls(cfg, p)
-
-    def parameter_count(self) -> int:
-        return parameter_count(self.params)
-
-    def fusion_parameter_count(self) -> int:
-        return int(sum(t.size for k, t in self.params.items() if k.startswith("fusion.")))
 
     # ---- forward ----
 
@@ -225,7 +209,7 @@ class TransDetector:
             row = ad.reshape(tape, row, (batch, 1, cfg.d_model))
             x = ad.concat_rows(tape, [x, row])
 
-        cache = AttentionCache()
+        cache = {}  # group -> its finalized attention maps so far
         records = [] if collect_attention else None
         for i in range(1, cfg.n_layers + 1):
             x = self._te_layer(tape, p, x, i, cache, records)
@@ -245,47 +229,53 @@ class TransDetector:
             return out, records
         return out
 
-    def _te_layer(self, tape, p, x, i, cache: AttentionCache, records):
+    def _te_layer(self, tape, p, x, i, cache: dict, records):
         cfg = self.cfg
-        rows = x.shape[-2]
-        batch = x.shape[0]
         alpha = cfg.residual_alpha
-        group = cfg.group_of(i)
-        outs, mats = [], []
-        for j in range(cfg.n_heads):
-            q = ad.linear(tape, x, p[f"te{i}.h{j}.wq"], p[f"te{i}.h{j}.bq"])
-            k = ad.linear(tape, x, p[f"te{i}.h{j}.wk"], p[f"te{i}.h{j}.bk"])
-            v = ad.linear(tape, x, p[f"te{i}.h{j}.wv"], p[f"te{i}.h{j}.bv"])
-            logits = ad.scale(tape, ad.matmul(tape, q, ad.transpose(tape, k)), cfg.head_dim**-0.5)
-            a = ad.softmax_rows(tape, logits)
-            if group is not None and i != group[0]:
-                chans = cache.get(group, j) + [a]
-                block = ad.stack_channels(tape, chans)
-                fused = ad.conv2d_same(tape, block, p[f"fusion.p{len(chans)}.h{j}.k"])
-                a = ad.softmax_rows(tape, ad.reshape(tape, fused, (batch, rows, rows)))
-            if group is not None and i != group[-1]:
-                entry = a
-                if rows != cfg.window_len:
-                    # layer-1 maps carry the denoising row; crop to window rows and
-                    # re-normalize so later fusions see a row-stochastic map
-                    entry = ad.slice_rows(tape, a, 0, cfg.window_len)
-                    entry = ad.slice_cols(tape, entry, 0, cfg.window_len)
-                    entry = ad.normalize_rows(tape, entry)
-                cache.append(group, j, entry)
-            if records is not None:
-                mats.append(a.data.copy())
-            outs.append(ad.matmul(tape, a, v))
-        merged = ad.linear(tape, ad.concat_cols(tape, outs), p[f"te{i}.wo"], p[f"te{i}.bo"])
+        merged = self._attention(tape, p, x, i, cache, records)
         x = ad.layer_norm(
             tape, ad.add(tape, ad.scale(tape, x, alpha), merged),
             p[f"te{i}.ln1.g"], p[f"te{i}.ln1.b"], cfg.ln_eps,
         )
         inner = ad.mish(tape, ad.linear(tape, x, p[f"te{i}.ffn.w1"], p[f"te{i}.ffn.b1"]))
         ffn = ad.linear(tape, inner, p[f"te{i}.ffn.w2"], p[f"te{i}.ffn.b2"])
-        x = ad.layer_norm(
+        return ad.layer_norm(
             tape, ad.add(tape, ad.scale(tape, x, alpha), ffn),
             p[f"te{i}.ln2.g"], p[f"te{i}.ln2.b"], cfg.ln_eps,
         )
+
+    def _attention(self, tape, p, x, i, cache: dict, records):
+        """Multi-head attention of layer i with map fusion, through the output projection.
+
+        A method of its own so that its (batch, heads, rows, rows) temporaries
+        are freed before the feed-forward block runs."""
+        cfg = self.cfg
+        batch, rows, d = x.shape
+        split = (batch, rows, cfg.n_heads, cfg.head_dim)
+        group = cfg.group_of(i)
+
+        def project(name, axes):
+            y = ad.linear(tape, x, p[f"te{i}.w{name}"], p[f"te{i}.b{name}"])
+            return ad.transpose(tape, ad.reshape(tape, y, split), axes)
+
+        q = project("q", (0, 2, 1, 3))   # (batch, heads, rows, head_dim)
+        kt = project("k", (0, 2, 3, 1))  # (batch, heads, head_dim, rows)
+        v = project("v", (0, 2, 1, 3))
+        a = ad.softmax_rows(tape, ad.scale(tape, ad.matmul(tape, q, kt), cfg.head_dim**-0.5))
+        if group is not None and i != group[0]:
+            chans = cache[group] + [a]
+            fused = ad.conv2d_same(tape, ad.stack_channels(tape, chans), p[f"fusion.p{len(chans)}.k"])
+            a = ad.softmax_rows(tape, fused)
+        if group is not None and i != group[-1]:
+            entry = a
+            if rows != cfg.window_len:
+                # layer-1 maps carry the denoising row; crop to window rows and
+                # re-normalize so later fusions see a row-stochastic map
+                entry = ad.slice_rows(tape, a, 0, cfg.window_len)
+                entry = ad.slice_cols(tape, entry, 0, cfg.window_len)
+                entry = ad.normalize_rows(tape, entry)
+            cache.setdefault(group, []).append(entry)
         if records is not None:
-            records.append(np.stack(mats, axis=1))
-        return x
+            records.append(a.data.copy())
+        heads = ad.transpose(tape, ad.matmul(tape, a, v), (0, 2, 1, 3))
+        return ad.linear(tape, ad.reshape(tape, heads, (batch, rows, d)), p[f"te{i}.wo"], p[f"te{i}.bo"])

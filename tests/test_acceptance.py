@@ -23,14 +23,10 @@ from dofdm_lab.config import parse_config, generate_frames
 from dofdm_lab.dnn_detector import DnnConfig, DnnDetector
 from dofdm_lab.evaluation import bits_from_pairs, evaluate_frames, evaluate_mse_db
 from dofdm_lab.gradcheck import TOL_MODEL, TOL_OP, run_suite
+from dofdm_lab.params import parameter_count
 from dofdm_lab.preprocess import Dataset, build_dataset
 from dofdm_lab.training import TrainConfig, lr_at, train
-from dofdm_lab.transdetector import (
-    ModelConfig,
-    TransDetector,
-    parameter_count,
-    trapezoid_encoding,
-)
+from dofdm_lab.transdetector import ModelConfig, TransDetector, trapezoid_encoding
 
 TINY = ModelConfig(
     d_model=16,

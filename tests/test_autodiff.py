@@ -4,6 +4,7 @@ import pytest
 
 from dofdm_lab import autodiff as ad
 from dofdm_lab import gradcheck as gc
+from dofdm_lab.params import zero_all_grads
 
 
 def _tensor(data, grad=True):
@@ -23,11 +24,11 @@ def test_default_dtype_is_single():
     assert ad.Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
 
 
-def test_sum_backward_is_ones():
+def test_mean_backward_is_uniform():
     tape = ad.Tape()
-    x = _tensor([1.0, -2.0, 5.0])
-    tape.backward(ad.sum_all(tape, x))
-    npt.assert_array_equal(x.grad, np.ones(3))
+    x = _tensor([1.0, -2.0, 5.0, 0.0])
+    tape.backward(ad.mean(tape, x))
+    npt.assert_array_equal(x.grad, np.full(4, 0.25))
 
 
 def test_mean_backward_fanout_accumulates():
@@ -35,8 +36,8 @@ def test_mean_backward_fanout_accumulates():
     tape = ad.Tape()
     x = _tensor([1.0, 2.0])
     y = ad.add(tape, x, x)
-    tape.backward(ad.sum_all(tape, y))
-    npt.assert_array_equal(x.grad, [2.0, 2.0])
+    tape.backward(ad.mean(tape, y))
+    npt.assert_array_equal(x.grad, [1.0, 1.0])
 
 
 def test_backward_needs_scalar():
@@ -50,7 +51,7 @@ def test_backward_needs_scalar():
 def test_backward_twice_is_an_error():
     tape = ad.Tape()
     x = _tensor([1.0])
-    loss = ad.sum_all(tape, x)
+    loss = ad.mean(tape, x)
     tape.backward(loss)
     with pytest.raises(RuntimeError, match="new tape"):
         tape.backward(loss)
@@ -64,6 +65,10 @@ def test_matmul_shape_errors():
         ad.matmul(tape, _tensor(np.zeros((2, 3))), _tensor(np.zeros((2, 3, 4))))
     with pytest.raises(ad.DimensionError):
         ad.matmul(tape, _tensor(np.zeros((2, 2, 3))), _tensor(np.zeros((3, 3, 4))))
+    with pytest.raises(ad.DimensionError, match="batch"):
+        ad.matmul(tape, _tensor(np.zeros((2, 3, 2, 3))), _tensor(np.zeros((2, 4, 3, 4))))
+    with pytest.raises(ad.DimensionError, match="batch"):
+        ad.matmul(tape, _tensor(np.zeros((2, 3, 2, 3))), _tensor(np.zeros((3, 3, 4))))
 
 
 def test_mixed_dtypes_rejected():
@@ -78,8 +83,8 @@ def test_add_trailing_broadcast_grad():
     tape = ad.Tape()
     x = _tensor(np.ones((2, 3, 4)))
     b = _tensor(np.zeros(4))
-    tape.backward(ad.sum_all(tape, ad.add(tape, x, b)))
-    npt.assert_array_equal(b.grad, np.full(4, 6.0))
+    tape.backward(ad.mean(tape, ad.add(tape, x, b)))
+    npt.assert_allclose(b.grad, np.full(4, 6 / 24), rtol=1e-15)
     with pytest.raises(ad.DimensionError):
         ad.add(tape, _tensor(np.zeros((2, 3))), _tensor(np.zeros((3, 1))))
 
@@ -118,13 +123,13 @@ def test_mish_known_value():
 
 def test_conv2d_same_matches_bruteforce():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 4, 5))
+    x = rng.standard_normal((1, 2, 4, 5))
     k = rng.standard_normal((1, 2, 3, 3))
     tape = ad.Tape(recording=False)
     got = ad.conv2d_same(tape, ad.Tensor(x, dtype=np.float64), ad.Tensor(k, dtype=np.float64)).data
 
     ref = np.zeros((1, 4, 5))
-    xp = np.pad(x, [(0, 0), (1, 1), (1, 1)])
+    xp = np.pad(x[0], [(0, 0), (1, 1), (1, 1)])
     for r in range(4):
         for c in range(5):
             acc = 0.0
@@ -137,34 +142,36 @@ def test_conv2d_same_matches_bruteforce():
 
 
 def _conv_9tap(x, k, g):
-    """Reference 3x3 same conv as nine shifted taps: (out, d out/dx . g, d out/dk . g)."""
+    """Reference grouped 3x3 same conv as nine shifted taps: (out, d out/dx . g, d out/dk . g)."""
     h, w = x.shape[-2:]
     xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)])
-    kd = k[0]
     out = np.zeros(x.shape[:-3] + (h, w))
     gxp = np.zeros_like(xp)
     gk = np.zeros_like(k)
-    red = tuple(i for i in range(x.ndim) if i != x.ndim - 3)
+    red = tuple(range(x.ndim - 4)) + (-2, -1)
     for di in range(3):
         for dj in range(3):
-            patch = xp[..., :, di : di + h, dj : dj + w]
-            out += (patch * kd[:, di, dj].reshape(-1, 1, 1)).sum(axis=-3)
-            gxp[..., :, di : di + h, dj : dj + w] += kd[:, di, dj].reshape(-1, 1, 1) * g[..., None, :, :]
-            gk[0, :, di, dj] += (patch * g[..., None, :, :]).sum(axis=red)
-    return out[..., None, :, :], gxp[..., :, 1 : 1 + h, 1 : 1 + w], gk
+            patch = xp[..., di : di + h, dj : dj + w]
+            tap = k[:, :, di, dj][..., None, None]
+            out += (patch * tap).sum(axis=-3)
+            gxp[..., di : di + h, dj : dj + w] += tap * g[..., None, :, :]
+            gk[:, :, di, dj] += (patch * g[..., None, :, :]).sum(axis=red)
+    return out, gxp[..., 1 : 1 + h, 1 : 1 + w], gk
 
 
-@pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+@pytest.mark.parametrize("shape", [(1, 3, 5, 4), (2, 1, 3, 5, 4), (2, 4, 3, 5, 4)])
 def test_conv2d_same_matches_nine_tap_loop(shape):
+    # shape is (..., groups, channels, h, w)
     rng = np.random.default_rng(11)
     x = rng.standard_normal(shape)
-    k = rng.standard_normal((1, shape[-3], 3, 3))
+    k = rng.standard_normal(shape[-4:-2] + (3, 3))
     g = rng.standard_normal(shape[:-3] + shape[-2:])
     tape = ad.Tape()
     xt, kt = _tensor(x), _tensor(k)
     out = ad.conv2d_same(tape, xt, kt)
-    weight = ad.Tensor(g[..., None, :, :], dtype=np.float64)
-    tape.backward(ad.sum_all(tape, ad.mul(tape, out, weight)))
+    weight = ad.Tensor(g, dtype=np.float64)
+    tape.backward(ad.mean(tape, ad.mul(tape, out, weight)))
+    g = g / g.size
     ref_out, ref_gx, ref_gk = _conv_9tap(x, k, g)
     npt.assert_allclose(out.data, ref_out, rtol=1e-12, atol=1e-12)
     npt.assert_allclose(xt.grad, ref_gx, rtol=1e-12, atol=1e-12)
@@ -177,23 +184,25 @@ def test_matmul_3d_by_2d_equals_batched_product():
     tape = ad.Tape()
     at, bt = _tensor(a), _tensor(b)
     out = ad.matmul(tape, at, bt)
-    tape.backward(ad.sum_all(tape, ad.mul(tape, out, ad.Tensor(g, dtype=np.float64))))
+    tape.backward(ad.mean(tape, ad.mul(tape, out, ad.Tensor(g, dtype=np.float64))))
+    g = g / g.size
     npt.assert_allclose(out.data, np.stack([a[i] @ b for i in range(3)]), rtol=1e-12)
     npt.assert_allclose(at.grad, np.stack([g[i] @ b.T for i in range(3)]), rtol=1e-12)
     npt.assert_allclose(bt.grad, sum(a[i].T @ g[i] for i in range(3)), rtol=1e-12)
 
 
 def test_fanout_adopted_gradient_is_never_written_in_place():
-    # sum_all's ones reach s and u, then a and b, as one shared array; a's later
-    # contribution from the scale must leave b's (and the upstream) gradient alone
+    # mean's uniform gradient reaches s and u, then a and b, as one shared array;
+    # a's later contribution from the scale must leave b's (and the upstream)
+    # gradient alone
     tape = ad.Tape()
     a, b = _tensor([1.0, 2.0]), _tensor([3.0, 4.0])
     u = ad.scale(tape, a, 3.0)
     s = ad.add(tape, a, b)
-    tape.backward(ad.sum_all(tape, ad.add(tape, s, u)))
-    npt.assert_array_equal(a.grad, [4.0, 4.0])
-    npt.assert_array_equal(b.grad, [1.0, 1.0])
-    npt.assert_array_equal(s.grad, [1.0, 1.0])
+    tape.backward(ad.mean(tape, ad.add(tape, s, u)))
+    npt.assert_array_equal(a.grad, [2.0, 2.0])
+    npt.assert_array_equal(b.grad, [0.5, 0.5])
+    npt.assert_array_equal(s.grad, [0.5, 0.5])
 
 
 def test_structural_ops_return_views():
@@ -201,6 +210,7 @@ def test_structural_ops_return_views():
     x = ad.Tensor(np.arange(24.0).reshape(2, 3, 4))
     for out in (
         ad.transpose(tape, x),
+        ad.transpose(tape, x, (2, 0, 1)),
         ad.reshape(tape, x, (6, 4)),
         ad.slice_rows(tape, x, 1, 3),
         ad.slice_cols(tape, x, 0, 2),
@@ -212,7 +222,7 @@ def test_float32_gradients_stay_float32():
     rng = np.random.default_rng(13)
     x, k, w = (
         ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float32)
-        for shape in ((2, 3, 4, 4), (1, 3, 3, 3), (4, 5))
+        for shape in ((2, 1, 3, 4, 4), (1, 3, 3, 3), (4, 5))
     )
     tape = ad.Tape()
     conv = ad.reshape(tape, ad.conv2d_same(tape, x, k), (2, 4, 4))
@@ -259,11 +269,15 @@ def test_mish_backward_matches_where_form(dtype):
 
 def test_conv2d_kernel_shape_rejected():
     tape = ad.Tape(recording=False)
-    x = ad.Tensor(np.zeros((2, 4, 4)))
+    x = ad.Tensor(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ad.DimensionError, match="kernel"):
         ad.conv2d_same(tape, x, ad.Tensor(np.zeros((1, 2, 5, 5))))
     with pytest.raises(ad.DimensionError, match="kernel"):
         ad.conv2d_same(tape, x, ad.Tensor(np.zeros((1, 3, 3, 3))))
+    with pytest.raises(ad.DimensionError, match="kernel"):
+        ad.conv2d_same(tape, x, ad.Tensor(np.zeros((2, 2, 3, 3))))
+    with pytest.raises(ad.DimensionError, match="input"):
+        ad.conv2d_same(tape, ad.Tensor(np.zeros((2, 4, 4))), ad.Tensor(np.zeros((1, 2, 3, 3))))
 
 
 def test_normalize_rows_smooths_zero_mass_to_uniform():
@@ -300,23 +314,23 @@ def test_constants_collect_no_grad():
     tape = ad.Tape()
     x = _tensor(np.ones((2, 2)))
     c = ad.Tensor(np.ones((2, 2)), requires_grad=False, dtype=np.float64)
-    tape.backward(ad.sum_all(tape, ad.mul(tape, x, c)))
+    tape.backward(ad.mean(tape, ad.mul(tape, x, c)))
     assert x.grad is not None and c.grad is None
 
 
 def test_zero_grads_resets():
     tape = ad.Tape()
     x = _tensor([1.0, 2.0])
-    tape.backward(ad.sum_all(tape, x))
-    ad.zero_grads([x])
+    tape.backward(ad.mean(tape, x))
+    zero_all_grads({"x": x})
     assert x.grad is None
 
 
 def test_independent_tapes_do_not_interact():
     x = _tensor([2.0])
     t1, t2 = ad.Tape(), ad.Tape()
-    l1 = ad.sum_all(t1, ad.scale(t1, x, 3.0))
-    l2 = ad.sum_all(t2, ad.scale(t2, x, 5.0))
+    l1 = ad.mean(t1, ad.scale(t1, x, 3.0))
+    l2 = ad.mean(t2, ad.scale(t2, x, 5.0))
     t1.backward(l1)
     npt.assert_array_equal(x.grad, [3.0])
     t2.backward(l2)
@@ -342,7 +356,7 @@ def test_gradcheck_catches_a_corrupted_backward():
                 if out.grad is not None:
                     ad._accum(x, out.grad * 2.0)  # wrong: forward used 3.0
             tape._record(out, fn)
-        return ad.sum_all(tape, out)
+        return ad.mean(tape, out)
 
     err = gc.check_case(make_loss, [np.arange(4.0)])
     assert err > 0.1

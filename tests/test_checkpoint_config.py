@@ -51,6 +51,16 @@ class TestCheckpointFile:
         ck.save_checkpoint(b, {"x": 1}, dict(reversed(arrays.items())))
         assert a.read_bytes() == b.read_bytes()  # blob order is sorted, not insertion
 
+    def test_failed_write_keeps_previous_file_and_no_temporary(self, tmp_path):
+        p = tmp_path / "last.ckpt"
+        ck.save_checkpoint(p, {"step": 1}, {"w": np.ones(8, dtype=np.float32)})
+        before = p.read_bytes()
+        # blob "a" is written before "b" fails to convert, so the write stops part-way
+        with pytest.raises(ValueError):
+            ck.save_checkpoint(p, {"step": 2}, {"a": np.zeros(4, dtype=np.float32), "b": "not a number"})
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["last.ckpt"]
+
 
 class TestModelCheckpoint:
     def test_params_round_trip_bit_exact(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from dofdm_lab import cli
 from dofdm_lab.checkpoint import load_checkpoint, save_checkpoint
 from dofdm_lab.evaluation import read_attention_matrix
-from dofdm_lab.training import load_model_checkpoint
+from dofdm_lab.training import NonFiniteGradError, load_model_checkpoint
 
 BASE_CONFIG = {
     "frame": {
@@ -124,6 +124,20 @@ class TestTrain:
         model, payload, _ = load_model_checkpoint(run / "best.ckpt")
         assert payload["model_type"] == "trans"
 
+    def test_non_finite_gradient_exits_1(self, workdir, monkeypatch, capsys):
+        cfg_path, out = workdir
+        _gen(cfg_path, out)
+
+        def diverge(*args, **kwargs):
+            raise NonFiniteGradError("non-finite gradient in 'head.w' at adam step 3")
+
+        monkeypatch.setattr(cli, "train", diverge)
+        capsys.readouterr()
+        rc = _run("train", "--config", str(cfg_path), "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: non-finite gradient in 'head.w'") and "Traceback" not in err
+
     def test_ablation_runs_land_in_their_own_directory(self, workdir):
         cfg_path, out = workdir
         _gen(cfg_path, out)
@@ -236,8 +250,23 @@ class TestEval:
         config, arrays = load_checkpoint(out / "run-trans" / "last.ckpt")
         m_key = next(k for k in sorted(arrays) if k.startswith("adam.m."))
         v_key = next(k for k in sorted(arrays) if k.startswith("adam.v."))
+        # the per-head layout that came before heads were stacked: one blob per head
+        h, d = config["model_config"]["n_heads"], config["model_config"]["d_model"]
+        per_head = {}
+        for key, a in arrays.items():
+            stem, leaf = key.rsplit(".", 1)
+            if leaf in ("wq", "wk", "wv", "bq", "bk", "bv"):
+                parts = np.split(a.reshape(-1, d), h, axis=1)
+            elif "fusion" in stem:
+                parts = np.split(a.reshape(h, -1), h, axis=0)
+            else:
+                per_head[key] = a
+                continue
+            per_head.update({f"{stem}.h{j}.{leaf}": part.ravel() for j, part in enumerate(parts)})
+        assert "param.te1.h1.wq" in per_head and "adam.v.fusion.p2.h0.k" in per_head
         blobs = {"no-adam-m": (m_key, {k: a for k, a in arrays.items() if k != m_key}),
-                 "short-adam-v": (v_key, dict(arrays, **{v_key: arrays[v_key][:-1]}))}
+                 "short-adam-v": (v_key, dict(arrays, **{v_key: arrays[v_key][:-1]})),
+                 "per-head": ("param.te1.wq", per_head)}
         for label, (_, data) in blobs.items():
             save_checkpoint(tmp_path / "blobs.ckpt", config, data)
             variants[label] = (tmp_path / "blobs.ckpt").read_bytes()

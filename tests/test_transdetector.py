@@ -242,4 +242,4 @@ def test_paper_size_forward_tape_length_is_pinned():
     model, x, noise = _paper_size_case()
     tape = ad.Tape()
     model.forward(tape, x[:1], noise=noise[:1])
-    assert len(tape) == 437
+    assert len(tape) == 214

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,28 +22,35 @@ _BLOB_NAME = struct.Struct("<I")
 _BLOB_COUNT = struct.Struct("<Q")
 
 
-def save_checkpoint(path, config: dict, arrays: dict) -> None:
-    """Write to a temporary file beside path, then rename it over path, so a
-    write that fails or is killed part-way leaves any previous file intact."""
-    payload = json.dumps(config, sort_keys=True).encode()
+@contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Open a temporary file beside path for writing; rename it over path when
+    the body returns. A write that fails or is killed part-way leaves any
+    previous file intact; on an exception the temporary file is removed."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(payload)))
-            fh.write(payload)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name in sorted(arrays):
-                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-                raw = name.encode()
-                fh.write(_BLOB_NAME.pack(len(raw)))
-                fh.write(raw)
-                fh.write(_BLOB_COUNT.pack(arr.size))
-                fh.write(arr.tobytes())
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path, config: dict, arrays: dict) -> None:
+    payload = json.dumps(config, sort_keys=True).encode()
+    with atomic_write(path) as fh:
+        fh.write(_HEAD.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(payload)))
+        fh.write(payload)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+            raw = name.encode()
+            fh.write(_BLOB_NAME.pack(len(raw)))
+            fh.write(raw)
+            fh.write(_BLOB_COUNT.pack(arr.size))
+            fh.write(arr.tobytes())
 
 
 class CorruptCheckpoint(ValueError):

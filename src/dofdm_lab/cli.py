@@ -13,7 +13,7 @@ import os
 import sys
 
 from .baseband import load_taps
-from .checkpoint import CorruptCheckpoint
+from .checkpoint import CorruptCheckpoint, atomic_write
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -27,13 +27,12 @@ from .config import (
 from .evaluation import (
     attention_average,
     evaluate_frames,
-    window_pad_counts,
     write_attention_matrix,
     write_loss_csv,
     write_metrics_csv,
 )
 from .gradcheck import run_suite
-from .preprocess import build_dataset, load_dataset, save_dataset
+from .preprocess import build_dataset, load_dataset, save_dataset, window_pad_counts
 from .training import (
     ArtifactMismatch,
     NonFiniteGradError,
@@ -90,7 +89,7 @@ def cmd_gen_data(args) -> int:
     ds_path, mf_path = _dataset_paths(args.out)
     save_dataset(ds_path, ds)
     manifest = build_manifest(cfg, sha256_file(ds_path), args.taps)
-    with open(mf_path, "w") as fh:
+    with atomic_write(mf_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(

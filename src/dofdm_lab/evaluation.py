@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .baseband import FrameSim, qpsk_demap, single_fft_detect
+from .baseband import single_fft_detect
+from .checkpoint import atomic_write
 from .preprocess import unfold_normalize, window_samples
 
 EVAL_BATCH = 256
@@ -163,33 +164,12 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _model_symbol_pairs(model, sims, window_len: int, seed: int):
-    """Predict every (frame, symbol) of every sim in one batched pass.
-
-    Yields arrays aligned with per-symbol targets; degenerate symbols predict
-    zero pairs (decided as 00) rather than being skipped, so BER stays honest.
-    """
-    windows, slots = [], []
-    for f_i, sim in enumerate(sims):
-        for s_i in range(sim.demod.shape[0]):
-            normalized, degenerate = unfold_normalize(sim.demod[s_i])
-            if degenerate:
-                continue
-            windows.append(window_samples(normalized, window_len))
-            slots.append((f_i, s_i))
-    n_per_symbol = sims[0].demod.shape[1] - 1
-    out = {}
-    if windows:
-        pred = predict(model, np.concatenate(windows), seed=seed)
-        for j, key in enumerate(slots):
-            out[key] = pred[j * n_per_symbol : (j + 1) * n_per_symbol]
-    return out
-
-
 def evaluate_frames(sims: list, models: dict, window_len: int, seed: int = 0) -> MetricsReport:
     """Score single_fft plus each named model over FrameSim batches.
 
     sims may mix (snr, alpha) cells; metrics aggregate per cell per detector.
+    Degenerate symbols are scored, not skipped: a model's output there is
+    zero pairs (decided as 00), so BER stays honest.
     """
     if not sims:
         raise ValueError("no frames to evaluate")
@@ -201,52 +181,32 @@ def evaluate_frames(sims: list, models: dict, window_len: int, seed: int = 0) ->
     for (snr_db, alpha), group in sorted(
         cells.items(), key=lambda kv: (_inf(kv[0][0]), kv[0][1])
     ):
-        preds = {name: _model_symbol_pairs(m, group, window_len, seed) for name, m in models.items()}
-        tallies = {name: [0, 0, [], []] for name in ["single_fft", *models]}
-        for f_i, sim in enumerate(group):
-            true_bits = sim.frame.bits
-            soft, hard = single_fft_detect(sim.demod)
-            got = qpsk_demap(hard)
-            t = tallies["single_fft"]
-            t[0] += int((got != true_bits).sum())
-            t[1] += true_bits.size
-            t[2].append(np.stack([soft.real, soft.imag], axis=-1).reshape(-1, 2))
-            t[3].append(
-                np.stack(
-                    [sim.frame.diff_symbols.real, sim.frame.diff_symbols.imag], axis=-1
-                ).reshape(-1, 2)
-                * math.sqrt(2.0)
-            )
-            for name in models:
-                t = tallies[name]
-                for s_i in range(true_bits.shape[0]):
-                    pairs = preds[name].get((f_i, s_i))
-                    if pairs is None:
-                        pairs = np.zeros((true_bits.shape[1], 2), dtype=np.float32)
-                    got = bits_from_pairs(pairs)
-                    t[0] += int((got != true_bits[s_i]).sum())
-                    t[1] += true_bits[s_i].size
-                    t[2].append(np.asarray(pairs, dtype=np.float64))
-                    t[3].append(
-                        np.stack(
-                            [
-                                sim.frame.diff_symbols[s_i].real,
-                                sim.frame.diff_symbols[s_i].imag,
-                            ],
-                            axis=-1,
-                        )
-                        * math.sqrt(2.0)
-                    )
-        for name, (errs, bits, preds_l, tgts_l) in tallies.items():
-            mse_db = evaluate_mse_db(np.concatenate(preds_l), np.concatenate(tgts_l))
+        demods = np.stack([s.demod for s in group])
+        true_bits = np.stack([s.frame.bits for s in group]).reshape(-1, 2)
+        diff = np.stack([s.frame.diff_symbols for s in group]).ravel()
+        targets = np.stack([diff.real, diff.imag], axis=-1) * math.sqrt(2.0)
+        soft, _ = single_fft_detect(demods)
+        outputs = {"single_fft": np.stack([soft.real, soft.imag], axis=-1)}
+        if models:
+            normalized, degenerate = unfold_normalize(demods)
+            windows = window_samples(normalized[~degenerate], window_len)
+            for name, model in models.items():
+                pairs = np.zeros(degenerate.shape + (demods.shape[-1] - 1, 2), dtype=np.float32)
+                pairs[~degenerate] = predict(
+                    model, windows.reshape(-1, window_len, 2), seed=seed
+                ).reshape(-1, *pairs.shape[-2:])
+                outputs[name] = pairs
+        for name, pairs in outputs.items():
+            pairs = pairs.reshape(-1, 2)
+            errs = int((bits_from_pairs(pairs) != true_bits).sum())
             rows.append(
                 MetricsRow(
                     name,
                     math.inf if snr_db is None else float(snr_db),
                     float(alpha),
-                    errs / bits,
-                    mse_db,
-                    bits,
+                    errs / true_bits.size,
+                    evaluate_mse_db(pairs, targets),
+                    true_bits.size,
                     errs,
                 )
             )
@@ -258,14 +218,6 @@ def _inf(x):
 
 
 # ---- attention averaging ----
-
-
-def window_pad_counts(subcarrier: int, n_subcarriers: int, window_len: int) -> tuple:
-    """(leading, trailing) zero-padded rows of subcarrier k's window."""
-    half = window_len // 2
-    lead = max(0, half - subcarrier)
-    trail = max(0, subcarrier + half - n_subcarriers)
-    return lead, trail
 
 
 def attention_average(model, sims: list, subcarrier: int, n_detections: int, seed: int = 0):
@@ -283,32 +235,24 @@ def attention_average(model, sims: list, subcarrier: int, n_detections: int, see
         raise IndexError(f"subcarrier must be in 1..{k_total - 1}, got {subcarrier}")
     if n_detections < 1:
         raise ValueError("n_detections must be >= 1")
-    windows = []
-    for sim in sims:
-        for s_i in range(sim.demod.shape[0]):
-            normalized, degenerate = unfold_normalize(sim.demod[s_i])
-            if degenerate:
-                continue
-            windows.append(window_samples(normalized, window_len)[subcarrier - 1])
-            if len(windows) >= n_detections:
-                break
-        if len(windows) >= n_detections:
-            break
-    if not windows:
+    normalized, degenerate = unfold_normalize(np.stack([s.demod for s in sims]))
+    rows = np.flatnonzero(~degenerate)[:n_detections]
+    if rows.size == 0:
         raise ValueError("no usable symbols in the given frames")
-    batch = np.stack(windows)
+    flat = normalized.reshape(-1, normalized.shape[-1])
+    batch = window_samples(flat[rows], window_len)[:, subcarrier - 1]
     rng = np.random.default_rng(seed)
     _, records = model.forward(
         ad.Tape(recording=False), batch, rng=rng, collect_attention=True
     )
-    return [r.mean(axis=(0, 1)) for r in records], len(windows)
+    return [r.mean(axis=(0, 1)) for r in records], rows.size
 
 
 # ---- text artifacts ----
 
 
 def write_metrics_csv(path, report: MetricsReport, manifest_hash: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         if manifest_hash:
             fh.write(f"# manifest {manifest_hash}\n")
         fh.write("detector,snr_db,alpha,ber,mse_db,n_bits\n")
@@ -320,7 +264,7 @@ def write_metrics_csv(path, report: MetricsReport, manifest_hash: str | None = N
 
 
 def write_loss_csv(path, curve, manifest_hash: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         if manifest_hash:
             fh.write(f"# manifest {manifest_hash}\n")
         fh.write("step,loss,lr\n")
@@ -330,7 +274,7 @@ def write_loss_csv(path, curve, manifest_hash: str | None = None) -> None:
 
 def write_attention_matrix(path, matrix: np.ndarray, header: dict | None = None) -> None:
     """Space-separated rows; '#' header lines carry provenance metadata."""
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         for key, value in (header or {}).items():
             fh.write(f"# {key} {value}\n")
         for row in np.asarray(matrix):

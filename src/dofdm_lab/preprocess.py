@@ -1,11 +1,15 @@
 """Turn demodulated subcarrier values into normalized detector windows.
 
-Per OFDM symbol, the K complex values unfold to 2K reals (re, im interleaved)
-and are shift-normalized by the spread of the ten largest minus ten smallest
-values. Each detectable subcarrier k (1..K-1) then gets a window_len x 2
-window of consecutive complex positions, zero-padded at the sequence edges,
-with y_{k-1} and y_k sitting on the two center rows. Targets are the
-differential ratios in +-1 +-1j form. Splits are assigned per frame.
+Both stages work on any leading axes, such as (frames, symbols). Per OFDM
+symbol, unfold_normalize turns the K complex values into 2K reals (re, im
+interleaved), shift-normalized by the spread of the ten largest minus ten
+smallest values, and flags a symbol with no spread as degenerate. For each
+detectable subcarrier k (1..K-1), window_samples then cuts a window_len x 2
+window of consecutive complex positions, zero-padded at the sequence edges
+(window_pad_counts gives how many rows), with y_{k-1} and y_k on the two
+center rows. The dataset leaves degenerate symbols out; evaluation masks
+them and scores zero outputs there. Targets are the differential ratios in
++-1 +-1j form. Splits are assigned per frame.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseband import FrameSim, qpsk_point
+from .checkpoint import atomic_write
 
 DATASET_MAGIC = b"DOFD"
 DATASET_VERSION = 1
@@ -24,48 +29,60 @@ SPREAD_RANK = 10
 DEGENERATE_EPS = 1e-12
 
 
-def unfold_normalize(demod_symbol: np.ndarray) -> tuple:
-    """One symbol's K complex values -> (2K normalized reals, degenerate flag).
+def unfold_normalize(demods: np.ndarray) -> tuple:
+    """(..., K) complex values -> ((..., 2K) normalized reals, (...) degenerate mask).
 
-    Values are shifted by the mean and scaled by (mean of the 10 largest -
-    mean of the 10 smallest). A spread below 1e-12 marks the symbol degenerate
-    and returns zeros.
+    Each symbol's values are shifted by their mean and scaled by (mean of the
+    10 largest - mean of the 10 smallest). A spread below 1e-12 marks the
+    symbol degenerate and its row is zeros.
     """
-    y = np.asarray(demod_symbol)
-    if y.ndim != 1:
-        raise ValueError(f"expected one symbol of subcarrier values, got shape {y.shape}")
-    reals = np.empty(2 * y.size, dtype=np.float64)
-    reals[0::2] = y.real
-    reals[1::2] = y.imag
-    rank = min(SPREAD_RANK, reals.size)
-    srt = np.sort(reals)
-    spread = srt[-rank:].mean() - srt[:rank].mean()
-    if spread < DEGENERATE_EPS:
-        return np.zeros_like(reals), True
-    return (reals - reals.mean()) / spread, False
+    y = np.asarray(demods)
+    if y.ndim < 1:
+        raise ValueError(f"expected subcarrier values on the last axis, got shape {y.shape}")
+    reals = np.empty(y.shape[:-1] + (2 * y.shape[-1],), dtype=np.float64)
+    reals[..., 0::2] = y.real
+    reals[..., 1::2] = y.imag
+    rank = min(SPREAD_RANK, reals.shape[-1])
+    srt = np.sort(reals, axis=-1)
+    spread = srt[..., -rank:].mean(axis=-1) - srt[..., :rank].mean(axis=-1)
+    degenerate = spread < DEGENERATE_EPS
+    normalized = np.zeros_like(reals)
+    np.divide(
+        reals - reals.mean(axis=-1, keepdims=True), spread[..., None],
+        out=normalized, where=~degenerate[..., None],
+    )
+    return normalized, degenerate
 
 
 def window_samples(normalized: np.ndarray, window_len: int) -> np.ndarray:
-    """Normalized 2K reals -> (K-1, window_len, 2) windows for k = 1..K-1.
+    """(..., 2K) normalized reals -> (..., K-1, window_len, 2) float32 windows, k = 1..K-1.
 
     Window rows are consecutive complex positions; rows window_len/2 and
     window_len/2 + 1 (1-indexed) hold positions k-1 and k. The sequence is
     padded with window_len/2 - 1 complex zeros on each side, so the first and
-    last windows carry that many zero rows.
+    last windows carry that many zero rows (see window_pad_counts).
     """
-    x = np.asarray(normalized, dtype=np.float64)
-    if x.ndim != 1 or x.size % 2:
+    x = np.asarray(normalized)
+    if x.ndim < 1 or x.shape[-1] % 2:
         raise ValueError(f"expected interleaved re/im values, got shape {x.shape}")
     if window_len < 4 or window_len % 2:
         raise ValueError(f"window_len must be even and >= 4, got {window_len}")
-    k_total = x.size // 2
+    k_total = x.shape[-1] // 2
     if k_total < 2:
         raise ValueError("need at least two subcarriers to form windows")
-    pairs = x.reshape(k_total, 2)
     pad = window_len // 2 - 1
-    padded = np.concatenate([np.zeros((pad, 2)), pairs, np.zeros((pad, 2))])
-    view = np.lib.stride_tricks.sliding_window_view(padded, (window_len, 2))[:, 0]
-    return np.ascontiguousarray(view[: k_total - 1], dtype=np.float32)
+    padded = np.zeros(x.shape[:-1] + (k_total + 2 * pad, 2), dtype=np.float32)
+    padded[..., pad : pad + k_total, :] = x.reshape(x.shape[:-1] + (k_total, 2))
+    view = np.lib.stride_tricks.sliding_window_view(padded, window_len, axis=-2)
+    return np.ascontiguousarray(np.swapaxes(view, -1, -2))
+
+
+def window_pad_counts(subcarrier: int, n_subcarriers: int, window_len: int) -> tuple:
+    """(leading, trailing) zero-padded rows of subcarrier k's window."""
+    half = window_len // 2
+    lead = max(0, half - subcarrier)
+    trail = max(0, subcarrier + half - n_subcarriers)
+    return lead, trail
 
 
 @dataclass(frozen=True)
@@ -106,33 +123,33 @@ def assign_splits(n_frames: int, split_seed: int) -> dict:
 
 
 def build_dataset(sims: list, window_len: int, split_seed: int) -> Dataset:
-    """FrameSim list -> windows, +-1 +-1j targets and a frame-level split."""
+    """FrameSim list -> windows, +-1 +-1j targets and a frame-level split.
+
+    Degenerate symbols are left out; every other (frame, symbol) gives K-1
+    windows, in (frame, symbol, k) order.
+    """
     if not sims:
         raise ValueError("no frames to build a dataset from")
-    windows, targets, meta = [], [], []
-    for frame_id, sim in enumerate(sims):
-        if not isinstance(sim, FrameSim):
-            raise TypeError(f"expected FrameSim entries, got {type(sim).__name__}")
-        n_sym, k_total = sim.demod.shape
-        for sym in range(n_sym):
-            normalized, degenerate = unfold_normalize(sim.demod[sym])
-            if degenerate:
-                continue
-            windows.append(window_samples(normalized, window_len))
-            targets.append(qpsk_point(sim.frame.bits[sym]).astype(np.complex64))
-            ks = np.arange(1, k_total, dtype=np.uint32)
-            meta.append(
-                np.column_stack(
-                    [np.full_like(ks, frame_id), np.full_like(ks, sym), ks]
-                )
-            )
-    if not windows:
+    wrong = [type(s).__name__ for s in sims if not isinstance(s, FrameSim)]
+    if wrong:
+        raise TypeError(f"expected FrameSim entries, got {wrong[0]}")
+    normalized, degenerate = unfold_normalize(np.stack([s.demod for s in sims]))
+    keep = ~degenerate
+    frames, symbols = np.nonzero(keep)
+    if frames.size == 0:
         raise ValueError("every symbol was degenerate; nothing to train on")
-    win = np.concatenate(windows)
-    tgt_c = np.concatenate(targets)
+    win = window_samples(normalized[keep], window_len)
+    n_per_symbol = win.shape[1]
+    bits = np.stack([s.frame.bits for s in sims])[keep]
+    tgt_c = qpsk_point(bits).astype(np.complex64).ravel()
     tgt = np.stack([tgt_c.real, tgt_c.imag], axis=-1).astype(np.float32)
+    meta = np.column_stack([
+        np.repeat(frames, n_per_symbol),
+        np.repeat(symbols, n_per_symbol),
+        np.tile(np.arange(1, n_per_symbol + 1), frames.size),
+    ]).astype(np.uint32)
     return Dataset(
-        window_len, win, tgt, np.concatenate(meta).astype(np.uint32),
+        window_len, win.reshape(-1, window_len, 2), tgt, meta,
         assign_splits(len(sims), split_seed),
     )
 
@@ -159,7 +176,7 @@ def save_dataset(path, ds: Dataset) -> None:
     rec["window"] = ds.windows.reshape(ds.n_samples, -1)
     rec["target"] = ds.targets
     rec["frame"], rec["symbol"], rec["subcarrier"] = ds.meta[:, 0], ds.meta[:, 1], ds.meta[:, 2]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, ds.window_len, ds.n_samples))
         fh.write(rec.tobytes())
 

@@ -203,6 +203,48 @@ class TestParallelPredict:
         assert [get() for get, _ in controls] == before
 
 
+def _reference_evaluate(sims, name, model, window_len, seed):
+    """Per-symbol scoring: single-FFT and one model, degenerate symbols as zero pairs."""
+    from dofdm_lab.preprocess import unfold_normalize, window_samples
+
+    cells = {}
+    for sim in sims:
+        cells.setdefault((sim.snr_db, sim.doppler_alpha), []).append(sim)
+    rows = []
+    for (snr, alpha), group in sorted(cells.items()):
+        windows, slots = [], []
+        for f, sim in enumerate(group):
+            for s in range(sim.demod.shape[0]):
+                flat, degenerate = unfold_normalize(sim.demod[s])
+                if not degenerate:
+                    windows.append(window_samples(flat, window_len))
+                    slots.append((f, s))
+        pred = ev.predict(model, np.concatenate(windows), seed=seed)
+        per_symbol = dict(zip(slots, np.split(pred, len(slots))))
+        tallies = {"single_fft": [0, 0, [], []], name: [0, 0, [], []]}
+        for f, sim in enumerate(group):
+            for s in range(sim.demod.shape[0]):
+                bits = sim.frame.bits[s]
+                d = sim.frame.diff_symbols[s]
+                target = np.stack([d.real, d.imag], axis=-1) * math.sqrt(2.0)
+                soft, hard = bb.single_fft_detect(sim.demod[s])
+                zero = np.zeros((bits.shape[0], 2), dtype=np.float32)
+                for det, got, pairs in (
+                    ("single_fft", bb.qpsk_demap(hard), np.stack([soft.real, soft.imag], axis=-1)),
+                    (name, None, per_symbol.get((f, s), zero)),
+                ):
+                    got = ev.bits_from_pairs(pairs) if got is None else got
+                    t = tallies[det]
+                    t[0] += int((got != bits).sum())
+                    t[1] += bits.size
+                    t[2].append(np.asarray(pairs, dtype=np.float64))
+                    t[3].append(target)
+        for det, (errs, n_bits, preds, targets) in tallies.items():
+            mse = ev.evaluate_mse_db(np.concatenate(preds), np.concatenate(targets))
+            rows.append(ev.MetricsRow(det, snr, alpha, errs / n_bits, mse, n_bits, errs))
+    return ev.MetricsReport(tuple(rows))
+
+
 class TestEvaluateFrames:
     def test_single_fft_perfect_on_clean_channel(self):
         flat = bb.ChannelRealization(np.array([0.0]), np.array([1.0]), 0.0, 0)
@@ -233,6 +275,20 @@ class TestEvaluateFrames:
         report = ev.evaluate_frames(sims, {"trans": model}, window_len=8)
         assert 0.3 < report.row("trans", 20.0, 1e-4).ber < 0.7
 
+    @pytest.mark.parametrize("kind", ["trans", "dnn"])
+    def test_matches_per_symbol_reference_loop(self, kind):
+        sims = _sims(2, snr=10.0) + _sims(2, snr=20.0, alpha=3e-4, seed0=240)
+        demod = sims[2].demod.copy()
+        demod[1] = 0.0
+        sims[2] = dataclasses.replace(sims[2], demod=demod)
+        model = (
+            TransDetector.init(TINY, seed=0) if kind == "trans"
+            else DnnDetector.init(DnnConfig(window_len=8, hidden=(16, 16)), seed=0)
+        )
+        report = ev.evaluate_frames(sims, {kind: model}, window_len=8, seed=4)
+        assert report == _reference_evaluate(sims, kind, model, window_len=8, seed=4)
+        assert report.row(kind, 20.0, 3e-4).n_bits == 2 * 2 * 63 * 2
+
     def test_missing_row_raises(self):
         report = ev.evaluate_frames(_sims(1), {}, window_len=8)
         with pytest.raises(KeyError):
@@ -259,6 +315,25 @@ class TestAttentionAverage:
         for got, rec in zip(mats, records):
             np.testing.assert_allclose(got, rec.mean(axis=(0, 1)), atol=1e-7)
 
+    def test_degenerate_symbols_are_passed_over(self):
+        from dofdm_lab.preprocess import unfold_normalize, window_samples
+
+        model = TransDetector.init(TINY, seed=0)
+        sims = _sims(2)
+        demod = sims[0].demod.copy()
+        demod[:] = 0.0
+        sims[0] = dataclasses.replace(sims[0], demod=demod)
+        mats, used = ev.attention_average(model, sims, subcarrier=7, n_detections=3, seed=2)
+        assert used == 2  # the zeroed frame gives no detection
+        flat, _ = unfold_normalize(sims[1].demod)
+        win = np.ascontiguousarray(window_samples(flat, 8)[:, 6])
+        _, records = model.forward(
+            ad.Tape(recording=False), win,
+            rng=np.random.default_rng(2), collect_attention=True,
+        )
+        for got, rec in zip(mats, records):
+            assert got.tobytes() == rec.mean(axis=(0, 1)).tobytes()
+
     def test_averaged_maps_stay_row_stochastic(self):
         model = TransDetector.init(TINY, seed=0)
         mats, used = ev.attention_average(model, _sims(2), subcarrier=30, n_detections=4)
@@ -281,13 +356,6 @@ class TestAttentionAverage:
             ev.attention_average(model, _sims(1), subcarrier=64, n_detections=1)
         with pytest.raises(ValueError):
             ev.attention_average(model, _sims(1), subcarrier=1, n_detections=0)
-
-
-def test_window_pad_counts():
-    assert ev.window_pad_counts(1, 64, 16) == (7, 0)
-    assert ev.window_pad_counts(63, 64, 16) == (0, 7)
-    assert ev.window_pad_counts(32, 64, 16) == (0, 0)
-    assert ev.window_pad_counts(4, 64, 16) == (4, 0)
 
 
 class TestWriters:

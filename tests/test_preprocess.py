@@ -1,9 +1,13 @@
 """Window extraction, normalization, dataset splits and persistence."""
 
+import dataclasses
+import errno
+
 import numpy as np
 import pytest
 
 from dofdm_lab import baseband as bb
+from dofdm_lab import checkpoint as ck
 from dofdm_lab import preprocess as pp
 
 CFG = bb.FrameConfig(
@@ -44,9 +48,43 @@ class TestUnfoldNormalize:
         assert degenerate
         np.testing.assert_array_equal(flat, 0.0)
 
-    def test_rejects_matrix_input(self):
+    def test_rejects_scalar_input(self):
         with pytest.raises(ValueError):
-            pp.unfold_normalize(np.zeros((2, 64), dtype=complex))
+            pp.unfold_normalize(np.complex128(1 + 1j))
+
+
+def _stack_with_zero_symbol(k_total, seed=5):
+    rng = np.random.default_rng(seed)
+    demods = rng.normal(size=(2, 3, k_total)) + 1j * rng.normal(size=(2, 3, k_total))
+    demods *= 10.0 ** rng.uniform(-6, 3, size=(2, 3, 1))
+    demods[1, 1] = 0.0
+    return demods
+
+
+class TestLeadingAxes:
+    """The stacked (frames, symbols) form gives the bytes of per-symbol calls."""
+
+    @pytest.mark.parametrize("k_total", [8, 64, 1024])
+    def test_unfold_normalize_matches_per_row_calls(self, k_total):
+        demods = _stack_with_zero_symbol(k_total)
+        flat, degenerate = pp.unfold_normalize(demods)
+        assert flat.shape == (2, 3, 2 * k_total) and degenerate.shape == (2, 3)
+        assert degenerate.tolist() == [[False] * 3, [False, True, False]]
+        for f in range(2):
+            for s in range(3):
+                row, deg = pp.unfold_normalize(demods[f, s])
+                assert flat[f, s].tobytes() == row.tobytes()
+                assert degenerate[f, s] == deg
+
+    @pytest.mark.parametrize("window_len", [4, 8, 16])
+    def test_window_samples_matches_per_row_calls(self, window_len):
+        flat, _ = pp.unfold_normalize(_stack_with_zero_symbol(64))
+        win = pp.window_samples(flat, window_len)
+        assert win.shape == (2, 3, 63, window_len, 2) and win.dtype == np.float32
+        assert win.flags.c_contiguous
+        for f in range(2):
+            for s in range(3):
+                assert win[f, s].tobytes() == pp.window_samples(flat[f, s], window_len).tobytes()
 
 
 class TestWindowSamples:
@@ -77,6 +115,26 @@ class TestWindowSamples:
         flat, _ = pp.unfold_normalize(np.random.default_rng(4).normal(size=64) + 0j)
         win = pp.window_samples(flat, 4)
         assert win.shape == (63, 4, 2)
+
+
+class TestWindowPadCounts:
+    def test_window_pad_counts(self):
+        assert pp.window_pad_counts(1, 64, 16) == (7, 0)
+        assert pp.window_pad_counts(63, 64, 16) == (0, 7)
+        assert pp.window_pad_counts(32, 64, 16) == (0, 0)
+        assert pp.window_pad_counts(4, 64, 16) == (4, 0)
+
+    @pytest.mark.parametrize("k_total", [6, 64])
+    @pytest.mark.parametrize("window_len", [4, 8, 16])
+    def test_counts_match_the_zero_rows_of_each_window(self, window_len, k_total):
+        flat = np.arange(1.0, 2 * k_total + 1)  # no zero value anywhere
+        win = pp.window_samples(flat, window_len)
+        for k in range(1, k_total):
+            zero = np.all(win[k - 1] == 0.0, axis=-1)
+            lead = int(np.argmin(zero)) if not zero.all() else window_len
+            trail = int(np.argmin(zero[::-1])) if not zero.all() else window_len
+            assert (lead, trail) == pp.window_pad_counts(k, k_total, window_len), k
+            assert not zero[lead : window_len - trail].any()
 
 
 class TestSplits:
@@ -128,6 +186,33 @@ class TestBuildDataset:
         frames = [set(ds.meta[i, 0]) for i in idx]
         assert not (frames[0] & frames[1]) and not (frames[0] & frames[2])
 
+    def test_matches_per_symbol_reference_loop(self):
+        sims = _sims(3)
+        demod = sims[1].demod.copy()
+        demod[0] = 0.0
+        sims[1] = dataclasses.replace(sims[1], demod=demod)
+        ds = pp.build_dataset(sims, 8, split_seed=7)
+        windows, targets, meta = [], [], []
+        for f, sim in enumerate(sims):
+            for s in range(sim.demod.shape[0]):
+                flat, degenerate = pp.unfold_normalize(sim.demod[s])
+                if degenerate:
+                    continue
+                windows.append(pp.window_samples(flat, 8))
+                t = bb.qpsk_point(sim.frame.bits[s]).astype(np.complex64)
+                targets.append(np.stack([t.real, t.imag], axis=-1).astype(np.float32))
+                meta += [(f, s, k) for k in range(1, 64)]
+        assert ds.n_samples == 5 * 63
+        assert ds.windows.tobytes() == np.concatenate(windows).tobytes()
+        assert ds.targets.tobytes() == np.concatenate(targets).tobytes()
+        assert ds.meta.dtype == np.uint32
+        np.testing.assert_array_equal(ds.meta, np.array(meta))
+
+    def test_all_degenerate_is_rejected(self):
+        sim = _sims(1)[0]
+        with pytest.raises(ValueError, match="degenerate"):
+            pp.build_dataset([dataclasses.replace(sim, demod=np.zeros_like(sim.demod))], 8, 0)
+
     def test_rejects_non_frame_input(self):
         with pytest.raises(TypeError):
             pp.build_dataset([object()], 16, split_seed=0)
@@ -168,3 +253,30 @@ class TestPersistence:
         p.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="records"):
             pp.load_dataset(p, split_seed=1)
+
+    def test_failed_write_keeps_previous_file_and_no_temporary(self, tmp_path, monkeypatch):
+        p = tmp_path / "dataset.bin"
+        pp.save_dataset(p, pp.build_dataset(_sims(1), 8, split_seed=1))
+        before = p.read_bytes()
+
+        class DiskFull:
+            """Writes the first 16 bytes of each call, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:16])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ck, "open", lambda *a, **kw: DiskFull(open(*a, **kw)), raising=False)
+        with pytest.raises(OSError):
+            pp.save_dataset(p, pp.build_dataset(_sims(2), 8, split_seed=1))
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["dataset.bin"]

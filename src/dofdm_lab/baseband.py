@@ -14,7 +14,7 @@ modulate->demodulate round trip is exact on a clean channel; the snap is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -108,7 +108,6 @@ class WaveguideGeometry:
     rx_height_m: float = 7.5
     range_m: float = 2000.0
     c_water: float = 1500.0
-    c_bottom: float = 1400.0
     spread_factor: float = 1.5
 
     def __post_init__(self):
@@ -122,14 +121,10 @@ class WaveguideGeometry:
 class ChannelConfig:
     geometry: WaveguideGeometry = field(default_factory=WaveguideGeometry)
     num_paths: int = 19
-    doppler_alpha: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
-        if self.doppler_alpha <= -1.0:
-            raise ValueError("doppler_alpha must be > -1")
 
 
 @dataclass(frozen=True)
@@ -144,6 +139,8 @@ class ChannelRealization:
         g = np.asarray(self.tap_gains, dtype=np.complex128)
         if d.ndim != 1 or g.shape != d.shape or d.size == 0:
             raise ValueError("tap arrays must be one-dimensional and equal length")
+        if not self.doppler_alpha > -1.0:
+            raise ValueError(f"doppler_alpha must be > -1, got {self.doppler_alpha}")
         if np.any(d < 0) or np.any(np.diff(d) < 0):
             raise ValueError("tap delays must be non-negative and sorted ascending")
         total = float(np.sum(np.abs(g) ** 2))
@@ -238,12 +235,12 @@ def fft_demod(received: np.ndarray, cfg: FrameConfig) -> np.ndarray:
 # ---- channel ----
 
 
-def make_channel(cfg: ChannelConfig) -> ChannelRealization:
+def make_channel(cfg: ChannelConfig, doppler_alpha: float = 0.0, noise_seed: int = 0) -> ChannelRealization:
     """Image-method taps for the waveguide; deterministic in the geometry.
 
     Paths are enumerated by bounce count, alternating surface/bottom: each
     surface bounce flips the sign, each bottom bounce multiplies by the 0.8
-    loss; gains decay as path_length^(spread_factor/2). cfg.seed feeds the
+    loss; gains decay as path_length^(spread_factor/2). noise_seed feeds the
     AWGN stream of this realization.
     """
     geo = cfg.geometry
@@ -269,7 +266,7 @@ def make_channel(cfg: ChannelConfig) -> ChannelRealization:
     entries = entries[: cfg.num_paths]
     delays = np.array([e[0] for e in entries])
     gains = np.array([e[1] for e in entries], dtype=np.complex128)
-    return ChannelRealization(delays, gains, cfg.doppler_alpha, int(cfg.seed))
+    return ChannelRealization(delays, gains, doppler_alpha, noise_seed)
 
 
 def load_taps(path, doppler_alpha: float = 0.0, noise_seed: int = 0) -> ChannelRealization:
@@ -421,7 +418,7 @@ def simulate_frame(
     frame = make_frame(frame_cfg, np.random.default_rng(bits_ss))
     noise_seed = int(noise_ss.generate_state(1)[0])
     if realization is None:
-        ch = make_channel(replace(chan_cfg, doppler_alpha=doppler_alpha, seed=noise_seed))
+        ch = make_channel(chan_cfg, doppler_alpha, noise_seed)
     else:
         ch = ChannelRealization(
             realization.tap_delays_s, realization.tap_gains, doppler_alpha, noise_seed

@@ -79,6 +79,8 @@ def load_checkpoint(path) -> tuple:
             config = json.loads(_read_exact(fh, cfg_len, path, "config payload").decode())
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise CorruptCheckpoint(f"{path}: unreadable config payload ({exc})") from exc
+        if not isinstance(config, dict):
+            raise CorruptCheckpoint(f"{path}: config payload is not a JSON object")
         (n_blobs,) = struct.unpack("<I", _read_exact(fh, 4, path, "blob count"))
         arrays = {}
         for _ in range(n_blobs):

@@ -39,6 +39,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.snr_list or not self.alpha_list:
             raise ConfigError("snr_list and alpha_list must be nonempty")
+        if not all(a > -1.0 for a in self.alpha_list):
+            raise ConfigError(f"alpha_list entries must be > -1, got {list(self.alpha_list)}")
         if self.n_frames < 1:
             raise ConfigError("n_frames must be >= 1")
         if self.eval_frames_per_cell < 1:
@@ -80,17 +82,16 @@ _TOP_SCALARS = {
 def _build_section(name: str, cls, raw: dict):
     if not isinstance(raw, dict):
         raise ConfigError(f"section '{name}' must be an object")
+    if name == "channel" and "doppler_alpha" in raw:
+        raise ConfigError("channel.doppler_alpha is set per frame by alpha_list")
     allowed = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in allowed:
             raise ConfigError(f"unknown key '{name}.{key}'")
         kwargs[key] = value
-    if name == "channel":
-        if "doppler_alpha" in kwargs:
-            raise ConfigError("channel.doppler_alpha is set per frame by alpha_list")
-        if "geometry" in kwargs:
-            kwargs["geometry"] = _build_section("channel.geometry", WaveguideGeometry, kwargs["geometry"])
+    if name == "channel" and "geometry" in kwargs:
+        kwargs["geometry"] = _build_section("channel.geometry", WaveguideGeometry, kwargs["geometry"])
     if name == "frame" and "diff_seed" in kwargs:
         pair = kwargs["diff_seed"]
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -148,8 +149,6 @@ def config_as_dict(cfg: ExperimentConfig) -> dict:
     out = {}
     for name, cls in _SECTIONS.items():
         section = dataclasses.asdict(getattr(cfg, name))
-        if name == "channel":
-            del section["doppler_alpha"]  # owned by alpha_list, not the section
         if name == "frame":
             seed = section["diff_seed"]
             section["diff_seed"] = [seed.real, seed.imag]

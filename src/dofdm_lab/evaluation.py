@@ -240,7 +240,8 @@ def attention_average(model, sims: list, subcarrier: int, n_detections: int, see
     if rows.size == 0:
         raise ValueError("no usable symbols in the given frames")
     flat = normalized.reshape(-1, normalized.shape[-1])
-    batch = window_samples(flat[rows], window_len)[:, subcarrier - 1]
+    # a copy, so the windows of the other subcarriers are freed before the forward
+    batch = window_samples(flat[rows], window_len)[:, subcarrier - 1].copy()
     rng = np.random.default_rng(seed)
     _, records = model.forward(
         ad.Tape(recording=False), batch, rng=rng, collect_attention=True

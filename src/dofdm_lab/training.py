@@ -86,9 +86,6 @@ class TrainConfig:
     epochs: int = 3
     batch_size: int = 256
     warmup: int = 2000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     val_every: int = 500
     checkpoint_every: int = 1000
@@ -163,7 +160,10 @@ def load_model_checkpoint(path, expect_manifest_hash: str | None = None):
             f"{path}: checkpoint was produced under manifest {stored[:12]}..., "
             f"expected {expect_manifest_hash[:12]}..."
         )
-    model = build_model(config["model_type"], config["model_config"])
+    try:
+        model = build_model(config["model_type"], config["model_config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"{path}: cannot build a model from its config ({exc!r})") from exc
 
     def blob(key, tensor):
         if key not in arrays:
@@ -269,7 +269,7 @@ def train(
                 halted = f"non-finite loss {loss_val} at step {step}"
                 break
             tape.backward(loss)
-            adam_step(model.params, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(model.params, state, lr)
             zero_all_grads(model.params)
             curve.append((step, loss_val, lr))
             if val_idx.size and cfg.val_every and step % cfg.val_every == 0:

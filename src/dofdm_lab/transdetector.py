@@ -48,12 +48,7 @@ class ModelConfig:
     fusion_groups: tuple = ((1, 3, 4), (2, 5, 6))
     dns_enabled: bool = True
     dns_noise_dim: int = 16
-    dns_mean: float = 0.0
-    dns_std: float = 1.0
     tpe_enabled: bool = True
-    deepnorm_alpha: float | None = None
-    pooling: str = "center_pair"
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         object.__setattr__(self, "fusion_groups", tuple(tuple(int(i) for i in g) for g in self.fusion_groups))
@@ -63,12 +58,8 @@ class ModelConfig:
             raise ValueError(f"window_len must be even and >= 4, got {self.window_len}")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
-        if self.pooling not in ("center_pair", "mean"):
-            raise ValueError(f"pooling must be 'center_pair' or 'mean', got {self.pooling!r}")
         if self.dns_enabled and self.dns_noise_dim < 1:
             raise ValueError("dns_noise_dim must be >= 1 when the denoising row is enabled")
-        if self.dns_std < 0:
-            raise ValueError("dns_std must be >= 0")
         seen = set()
         for g in self.fusion_groups:
             if not g:
@@ -91,8 +82,6 @@ class ModelConfig:
 
     @property
     def residual_alpha(self) -> float:
-        if self.deepnorm_alpha is not None:
-            return float(self.deepnorm_alpha)
         return float((2.0 * self.n_layers) ** 0.25)
 
     @property
@@ -150,8 +139,7 @@ class TransDetector:
                 p[f"te{i}.{ln}.b"] = make_zeros((d,), dtype)
         for pos in range(2, max((len(g) for g in cfg.fusion_groups), default=1) + 1):
             heads(f"fusion.p{pos}", "k", (1, pos, 3, 3), pos * 9, 9, axis=0)
-        feat = 2 * d if cfg.pooling == "center_pair" else d
-        w("head.w", (feat, 2), feat, 2)
+        w("head.w", (2 * d, 2), 2 * d, 2)
         p["head.b"] = make_zeros((2,), dtype)
         return cls(cfg, p)
 
@@ -162,7 +150,7 @@ class TransDetector:
         cfg = self.cfg
         if not cfg.dns_enabled:
             return None
-        return rng.normal(cfg.dns_mean, cfg.dns_std, size=(batch, cfg.dns_noise_dim))
+        return rng.standard_normal((batch, cfg.dns_noise_dim))
 
     def forward(
         self,
@@ -217,13 +205,8 @@ class TransDetector:
                 x = ad.slice_rows(tape, x, 0, cfg.window_len)
 
         half = cfg.window_len // 2
-        if cfg.pooling == "center_pair":
-            pooled = ad.slice_rows(tape, x, half - 1, half + 1)
-            feat = ad.reshape(tape, pooled, (batch, 2 * cfg.d_model))
-        else:
-            ones = ad.Tensor(np.ones((cfg.window_len, 1), dtype=dtype))
-            colsum = ad.matmul(tape, ad.transpose(tape, x), ones)
-            feat = ad.scale(tape, ad.reshape(tape, colsum, (batch, cfg.d_model)), 1.0 / cfg.window_len)
+        pooled = ad.slice_rows(tape, x, half - 1, half + 1)
+        feat = ad.reshape(tape, pooled, (batch, 2 * cfg.d_model))
         out = ad.tanh_op(tape, ad.linear(tape, feat, p["head.w"], p["head.b"]))
         if collect_attention:
             return out, records
@@ -235,13 +218,13 @@ class TransDetector:
         merged = self._attention(tape, p, x, i, cache, records)
         x = ad.layer_norm(
             tape, ad.add(tape, ad.scale(tape, x, alpha), merged),
-            p[f"te{i}.ln1.g"], p[f"te{i}.ln1.b"], cfg.ln_eps,
+            p[f"te{i}.ln1.g"], p[f"te{i}.ln1.b"],
         )
         inner = ad.mish(tape, ad.linear(tape, x, p[f"te{i}.ffn.w1"], p[f"te{i}.ffn.b1"]))
         ffn = ad.linear(tape, inner, p[f"te{i}.ffn.w2"], p[f"te{i}.ffn.b2"])
         return ad.layer_norm(
             tape, ad.add(tape, ad.scale(tape, x, alpha), ffn),
-            p[f"te{i}.ln2.g"], p[f"te{i}.ln2.b"], cfg.ln_eps,
+            p[f"te{i}.ln2.g"], p[f"te{i}.ln2.b"],
         )
 
     def _attention(self, tape, p, x, i, cache: dict, records):

@@ -107,7 +107,7 @@ def test_criterion_02_attention_row_stochastic(criteria):
     model = TransDetector.init(cfg, seed=4)
     rng = np.random.default_rng(8)
     windows = rng.standard_normal((100, cfg.window_len, 2)).astype(np.float32)
-    noise = rng.normal(cfg.dns_mean, cfg.dns_std, size=(100, cfg.dns_noise_dim))
+    noise = rng.standard_normal((100, cfg.dns_noise_dim))
     tape = ad.Tape(recording=False)
     _, records = model.forward(tape, windows, noise=noise, collect_attention=True)
 
@@ -215,7 +215,7 @@ def test_criterion_06_single_fft_reference_behavior(criteria):
     ici_errors = 0
     ici_total = 0
     for i in range(2):
-        sim = bb.simulate_frame(fc, bb.ChannelConfig(seed=40 + i), 3e-4, 30.0, 700 + i)
+        sim = bb.simulate_frame(fc, bb.ChannelConfig(), 3e-4, 30.0, 700 + i)
         soft, _ = bb.single_fft_detect(sim.demod)
         bits = bb.qpsk_demap(soft)
         ici_errors += int(np.sum(bits != sim.frame.bits))

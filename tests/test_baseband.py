@@ -127,6 +127,16 @@ class TestChannel:
         with pytest.raises(ValueError):
             bb.ChannelRealization(np.array([0.0]), np.array([0.0]), 0.0, 0)
 
+    @pytest.mark.parametrize("alpha", [-1.0, -3.0, float("nan")])
+    def test_realization_rejects_doppler_at_or_below_minus_one(self, alpha):
+        with pytest.raises(ValueError, match="doppler_alpha"):
+            bb.ChannelRealization(np.array([0.0]), np.array([1.0]), alpha, 0)
+
+    def test_make_channel_carries_doppler_and_noise_seed(self):
+        ch = bb.make_channel(bb.ChannelConfig(), 2e-4, 7)
+        assert (ch.doppler_alpha, ch.noise_seed) == (2e-4, 7)
+        np.testing.assert_array_equal(ch.tap_gains, bb.make_channel(bb.ChannelConfig()).tap_gains)
+
     def test_load_taps_parses_sorts_and_normalizes(self, tmp_path):
         p = tmp_path / "taps.txt"
         p.write_text(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +136,41 @@ class TestConfigSchema:
     def test_grid_doppler_cannot_hide_in_channel_section(self):
         with pytest.raises(cf.ConfigError, match="alpha_list"):
             cf.parse_config({"channel": {"doppler_alpha": 1e-4}})
+
+    @pytest.mark.parametrize("section, key", [
+        ("channel", "seed"), ("channel.geometry", "c_bottom"),
+        ("train", "beta1"), ("train", "beta2"), ("train", "adam_eps"),
+        ("model", "pooling"), ("model", "deepnorm_alpha"), ("model", "ln_eps"),
+        ("model", "dns_mean"), ("model", "dns_std"),
+    ])
+    def test_removed_keys_are_unknown(self, section, key):
+        raw = {key: 1}
+        for name in reversed(section.split(".")):
+            raw = {name: raw}
+        with pytest.raises(cf.ConfigError, match=f"unknown key '{section}.{key}'"):
+            cf.parse_config(raw)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -3.0, float("nan")])
+    def test_doppler_at_or_below_minus_one_is_rejected(self, alpha):
+        with pytest.raises(cf.ConfigError, match="alpha_list"):
+            cf.parse_config({"alpha_list": [1e-4, alpha]})
+
+    def test_readme_config_block_is_the_complete_default_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+        raw = json.loads(re.sub(r"//[^\n]*", "", block))
+        defaults = cf.config_as_dict(cf.ExperimentConfig())
+
+        def keys(d, prefix=""):
+            out = set()
+            for k, v in d.items():
+                out.add(prefix + k)
+                if isinstance(v, dict):
+                    out |= keys(v, f"{prefix}{k}.")
+            return out
+
+        assert cf.config_as_dict(cf.parse_config(raw)) == defaults
+        assert keys(raw) == keys(defaults)
 
     def test_window_len_must_agree_across_models(self):
         with pytest.raises(cf.ConfigError, match="window_len"):

@@ -89,6 +89,19 @@ class TestGenData:
         assert _run("gen-data", "--config", str(cfg_path), "--out", str(out)) == 2
         assert "surprise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", [-1.0, -3.0])
+    @pytest.mark.parametrize("taps", [False, True])
+    def test_doppler_at_or_below_minus_one_exits_2(self, workdir, tmp_path, capsys, alpha, taps):
+        cfg_path, out = workdir
+        cfg_path.write_text(json.dumps(dict(BASE_CONFIG, alpha_list=[1e-4, alpha])))
+        argv = ["gen-data", "--config", str(cfg_path), "--out", str(out)]
+        if taps:
+            (tmp_path / "taps.txt").write_text("0.0 1.0 0.0\n0.0005 0.4 0.1\n")
+            argv += ["--taps", str(tmp_path / "taps.txt")]
+        assert _run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "alpha_list" in err and "Traceback" not in err
+
     def test_unwritable_out_exits_2(self, workdir, tmp_path):
         cfg_path, _ = workdir
         blocker = tmp_path / "blocker"
@@ -264,11 +277,19 @@ class TestEval:
                 continue
             per_head.update({f"{stem}.h{j}.{leaf}": part.ravel() for j, part in enumerate(parts)})
         assert "param.te1.h1.wq" in per_head and "adam.v.fusion.p2.h0.k" in per_head
-        blobs = {"no-adam-m": (m_key, {k: a for k, a in arrays.items() if k != m_key}),
-                 "short-adam-v": (v_key, dict(arrays, **{v_key: arrays[v_key][:-1]})),
-                 "per-head": ("param.te1.wq", per_head)}
-        for label, (_, data) in blobs.items():
-            save_checkpoint(tmp_path / "blobs.ckpt", config, data)
+        model_config = config["model_config"]
+        blobs = {"no-adam-m": (m_key, config, {k: a for k, a in arrays.items() if k != m_key}),
+                 "short-adam-v": (v_key, config, dict(arrays, **{v_key: arrays[v_key][:-1]})),
+                 "per-head": ("param.te1.wq", config, per_head),
+                 # payloads that cannot build a model; every TransDetector
+                 # checkpoint written before `pooling` was removed carries it
+                 "old-key": ("pooling", dict(config, model_config=dict(model_config, pooling="center_pair")), arrays),
+                 "bad-value": ("n_heads", dict(config, model_config=dict(model_config, n_heads=3)), arrays),
+                 "no-type": ("model_type", {k: v for k, v in config.items() if k != "model_type"}, arrays),
+                 "bad-type": ("rnn", dict(config, model_type="rnn"), arrays),
+                 "not-object": ("JSON object", [config], arrays)}
+        for label, (_, payload, data) in blobs.items():
+            save_checkpoint(tmp_path / "blobs.ckpt", payload, data)
             variants[label] = (tmp_path / "blobs.ckpt").read_bytes()
         capsys.readouterr()
         for label, data in variants.items():

@@ -334,6 +334,21 @@ class TestAttentionAverage:
         for got, rec in zip(mats, records):
             assert got.tobytes() == rec.mean(axis=(0, 1)).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_forward_gets_windows_that_own_their_data(self, n, monkeypatch):
+        model = TransDetector.init(TINY, seed=0)
+        seen = []
+        forward = model.forward
+
+        def spy(tape, windows, **kwargs):
+            seen.append(windows)
+            return forward(tape, windows, **kwargs)
+
+        monkeypatch.setattr(model, "forward", spy)
+        ev.attention_average(model, _sims(2), subcarrier=7, n_detections=n)
+        (windows,) = seen
+        assert windows.shape == (n, 8, 2) and windows.flags.owndata
+
     def test_averaged_maps_stay_row_stochastic(self):
         model = TransDetector.init(TINY, seed=0)
         mats, used = ev.attention_average(model, _sims(2), subcarrier=30, n_detections=4)

@@ -59,7 +59,7 @@ class TestModelConfig:
             dict(fusion_groups=((1, 2), (2, 3))), # overlap
             dict(fusion_groups=((0, 1),)),        # out of range
             dict(fusion_groups=((5, 99),)),
-            dict(pooling="max"),
+            dict(dns_noise_dim=0),                # noise row with no input
             dict(n_layers=0),
         ],
     )
@@ -177,16 +177,6 @@ class TestAblationWeightSharing:
         out_a = a.forward(ad.Tape(recording=False), x, noise=noise)
         out_b = b.forward(ad.Tape(recording=False), x, noise=noise)
         assert not np.allclose(out_a.data, out_b.data)
-
-
-class TestPooling:
-    def test_mean_pooling_halves_head_width(self):
-        center = td.TransDetector.init(TINY, seed=0)
-        mean = td.TransDetector.init(dataclasses.replace(TINY, pooling="mean"), seed=0)
-        assert center.params["head.w"].shape == (32, 2)
-        assert mean.params["head.w"].shape == (16, 2)
-        out = _forward(mean)
-        assert out.data.shape == (3, 2)
 
 
 def test_init_deterministic_in_seed():
